@@ -311,6 +311,16 @@ func BenchmarkGemmParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkRandomSPD measures the symmetric Gram kernel that builds
+// CG's operand: matrix.RandomSPD at CG's paper-suite size and seed
+// (n=1024, seed 1), the largest workload-generation cost of the
+// headline suite.
+func BenchmarkRandomSPD(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		matrix.RandomSPD(1024, rand.New(rand.NewSource(1)))
+	}
+}
+
 // BenchmarkFWKernelHost measures the scalar FW kernel (the paper's 190
 // MFLOPS routine) on the host.
 func BenchmarkFWKernelHost(b *testing.B) {

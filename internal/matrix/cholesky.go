@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Cholesky factorization kernels. The paper's design model is
@@ -114,18 +115,32 @@ func BlockCholesky(a *Dense, bs int) error {
 }
 
 // RandomSPD returns a random symmetric positive-definite n×n matrix
-// (AᵀA + n·I of a random A).
+// (AᵀA + n·I of a random A, drawn row by row). Only the upper triangle
+// of AᵀA is computed, split across GOMAXPROCS goroutines, then
+// mirrored; the result has the same bits as Mul(a.Transpose(), a) plus
+// n·I for any worker count (see gram.go).
 func RandomSPD(n int, rng interface{ Float64() float64 }) *Dense {
-	a := New(n, n)
+	return randomSPD(n, rng, runtime.GOMAXPROCS(0))
+}
+
+// randomSPD is RandomSPD with an explicit worker count.
+func randomSPD(n int, rng interface{ Float64() float64 }, workers int) *Dense {
+	// Draw A in row order straight into its transpose: at[j][i] = A[i][j],
+	// so (AᵀA)[i][j] is the dot product of rows i and j of at.
+	at := New(n, n)
 	for i := 0; i < n; i++ {
-		row := a.Row(i)
-		for j := range row {
-			row[j] = 2*rng.Float64() - 1
+		for j := 0; j < n; j++ {
+			at.data[j*n+i] = 2*rng.Float64() - 1
 		}
 	}
-	spd := Mul(a.Transpose(), a)
+	spd := New(n, n)
+	gramUpper(at, spd, workers)
 	for i := 0; i < n; i++ {
-		spd.Set(i, i, spd.At(i, i)+float64(n))
+		row := spd.data[i*n : i*n+n]
+		for j := i + 1; j < n; j++ {
+			spd.data[j*n+i] = row[j]
+		}
+		row[i] += float64(n)
 	}
 	return spd
 }

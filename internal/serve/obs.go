@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"codesign/internal/obs"
@@ -30,6 +31,18 @@ type metrics struct {
 	deadline       *obs.Counter
 	jobsSubmitted  *obs.Counter
 	latency        map[string]*obs.Histogram
+
+	// requests caches the per-(endpoint, code) request counters,
+	// registered on first use so /metrics never shows a zero series
+	// for a code that was never returned.
+	reqMu    sync.Mutex
+	requests map[requestKey]*obs.Counter
+}
+
+// requestKey labels one codesignd_requests_total series.
+type requestKey struct {
+	endpoint string
+	code     int
 }
 
 // newMetrics registers the service-level families on reg.
@@ -43,6 +56,7 @@ func newMetrics(reg *obs.Registry, s *Service) *metrics {
 		deadline:       reg.Counter("codesignd_deadline_total", "requests that exceeded their deadline (504)"),
 		jobsSubmitted:  reg.Counter("codesignd_sweep_jobs_submitted_total", "sweep jobs accepted by POST /v1/sweep"),
 		latency:        make(map[string]*obs.Histogram),
+		requests:       make(map[requestKey]*obs.Counter),
 	}
 	for _, ep := range []string{"solve", "design", "sweep", "sweep_status"} {
 		m.latency[ep] = reg.Histogram(
@@ -78,8 +92,22 @@ func memoRate(lookups, solves int) float64 {
 // request records one finished API request: the per-endpoint/status
 // counter and the per-endpoint latency histogram.
 func (m *metrics) request(endpoint string, code int, elapsed time.Duration) {
-	m.reg.Counter(fmt.Sprintf("codesignd_requests_total{endpoint=%q,code=\"%d\"}", endpoint, code), helpRequests).Inc()
+	m.requestCounter(endpoint, code).Inc()
 	if h, ok := m.latency[endpoint]; ok {
 		h.Observe(elapsed.Seconds())
 	}
+}
+
+// requestCounter returns the codesignd_requests_total series for
+// (endpoint, code), registering it on first use.
+func (m *metrics) requestCounter(endpoint string, code int) *obs.Counter {
+	k := requestKey{endpoint, code}
+	m.reqMu.Lock()
+	defer m.reqMu.Unlock()
+	c, ok := m.requests[k]
+	if !ok {
+		c = m.reg.Counter(fmt.Sprintf("codesignd_requests_total{endpoint=%q,code=\"%d\"}", endpoint, code), helpRequests)
+		m.requests[k] = c
+	}
+	return c
 }

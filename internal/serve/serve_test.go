@@ -387,6 +387,38 @@ func TestDesignGridTooLarge(t *testing.T) {
 	}
 }
 
+// TestOverflowingGridRejected sends a grid whose point count overflows
+// int (six 2048-entry axes, 2^66 points) to both sweep endpoints: each
+// must answer 400 without enumerating a single point.
+func TestOverflowingGridRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.svc.runSweep = func(context.Context, sweep.Grid, sweep.Options) (*sweep.Result, error) {
+		t.Error("overflowing grid reached sweep.Run")
+		return nil, context.Canceled
+	}
+	s.svc.runScreened = func(context.Context, sweep.Grid, sweep.ScreenOptions) (*sweep.Result, error) {
+		t.Error("overflowing grid reached sweep.RunScreened")
+		return nil, context.Canceled
+	}
+	axis := make([]int, 2048)
+	for i := range axis {
+		axis[i] = i + 1
+	}
+	g := sweep.Grid{Nodes: axis, N: axis, B: axis, PEs: axis, BF: axis, L: axis}
+	for path, req := range map[string]any{
+		"/v1/design": DesignRequest{Grid: g},
+		"/v1/sweep":  SweepRequest{Grid: g},
+	} {
+		code, body := s.post(t, path, req)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400\n%.200s", path, code, body)
+		}
+		if e := decodeErr(t, body); e.Code != CodeBadRequest {
+			t.Fatalf("%s: code = %q", path, e.Code)
+		}
+	}
+}
+
 func TestSweepJobLifecycle(t *testing.T) {
 	s := newTestServer(t, Config{})
 	code, body := s.post(t, "/v1/sweep", SweepRequest{
@@ -493,6 +525,53 @@ func TestMetricsFamilies(t *testing.T) {
 	}
 	if !strings.Contains(text, `codesignd_requests_total{endpoint="solve",code="200"} 2`) {
 		t.Errorf("per-endpoint request counter missing or wrong:\n%s", text)
+	}
+}
+
+// TestRequestCounterCached asserts the per-(endpoint, code) request
+// counter is registered once and reused allocation-free, and that the
+// exported codesignd_requests_total family is byte-identical to the
+// series a registry lookup per request would build — with no series
+// for a code that was never returned.
+func TestRequestCounterCached(t *testing.T) {
+	s := newTestServer(t, Config{})
+	m := s.svc.m
+	m.request("solve", http.StatusOK, time.Millisecond)
+	m.request("solve", http.StatusOK, time.Millisecond)
+	m.request("solve", http.StatusBadRequest, time.Millisecond)
+	c := m.requestCounter("solve", http.StatusOK)
+	if c != m.requestCounter("solve", http.StatusOK) {
+		t.Fatal("repeated lookups returned different counters")
+	}
+	if got := c.Value(); got != 2 {
+		t.Fatalf("solve/200 = %d, want 2", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.request("solve", http.StatusOK, time.Millisecond) }); allocs != 0 {
+		t.Fatalf("warm request() allocates %v times", allocs)
+	}
+
+	ref := obs.NewRegistry()
+	for _, series := range []struct {
+		code int
+		n    int64
+	}{{http.StatusOK, c.Value()}, {http.StatusBadRequest, 1}} {
+		ref.Counter(fmt.Sprintf("codesignd_requests_total{endpoint=%q,code=\"%d\"}", "solve", series.code), helpRequests).Add(series.n)
+	}
+	family := func(reg *obs.Registry) string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, "codesignd_requests_total") {
+				lines = append(lines, line)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	if got, want := family(s.reg), family(ref); got != want {
+		t.Fatalf("codesignd_requests_total exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -260,7 +260,7 @@ func (s *Service) Design(ctx context.Context, req DesignRequest) (*DesignRespons
 	if req.Screen {
 		res, err = s.runScreened(ctx, req.Grid, sweep.ScreenOptions{Options: opts, RefineMargin: req.RefineMargin})
 	} else {
-		res, err = sweep.Run(ctx, req.Grid, opts)
+		res, err = s.runSweep(ctx, req.Grid, opts)
 	}
 	if err != nil {
 		return nil, err

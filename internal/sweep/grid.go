@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"codesign/internal/machine"
@@ -30,33 +31,34 @@ var knownModes = []string{"hybrid", "processor-only", "fpga-only"}
 
 // Grid is a declarative design-space description: the cross product of
 // every axis is the point set. Empty axes take defaults (one XD1
-// chassis, hybrid LU at the paper's sizes, solved partitions), so the
-// zero Grid is the paper's headline configuration. A zero in N, B or
-// PEs means "the app's paper default" (LU n=30000/b=3000, FW
-// n=18432/b=256, MM n=6144; largest PE array that fits); -1 in BF or L
-// means "solve the model equation" (Eq. 4 / Eq. 5 for LU, Eq. 6 for
-// FW, Eq. 1 for MM).
+// chassis, hybrid LU at the paper's sizes, a dense operator, solved
+// partitions), so the zero Grid is the paper's headline configuration.
+// A zero in N, B or PEs means "the app's default" (LU n=30000/b=3000,
+// FW n=18432/b=256, MM n=6144 and SpMV n=2048, which have no block
+// structure; largest PE array that fits); -1 in BF or L means "solve
+// the model equation" (Eq. 4 / Eq. 5 for LU, Eq. 6 for FW, Eq. 1 for
+// MM and SpMV).
 type Grid struct {
-	// Apps selects applications: "lu", "fw", "mm".
+	// Apps selects applications: "lu", "fw", "mm", "spmv".
 	Apps []string `json:"apps,omitempty"`
 	// Machines selects machine presets by name: "xd1", "xt3", "src6",
 	// "rasc".
 	Machines []string `json:"machines,omitempty"`
 	// Nodes overrides the preset node count p (0 = preset default).
 	Nodes []int `json:"nodes,omitempty"`
-	// N is the problem size axis (0 = the app's paper size).
+	// N is the problem size axis (0 = the app's default size).
 	N []int `json:"n,omitempty"`
 	// Density is the operator nonzero-density axis for spmv (0 = dense
 	// operator, the DGEMV regime; ignored by the dense apps).
 	Density []float64 `json:"density,omitempty"`
 	// B is the block size axis (0 = the app's paper block size;
-	// ignored by mm, which has no block structure).
+	// ignored by mm and spmv, which have no block structure).
 	B []int `json:"b,omitempty"`
 	// PEs is the FPGA PE-array size axis (0 = largest that fits the
 	// device, the paper's choice).
 	PEs []int `json:"pes,omitempty"`
-	// BF is the FPGA row-share axis for LU/MM stripes (-1 = solve
-	// Equation 4 / Equation 1; ignored by fw).
+	// BF is the FPGA row-share axis for LU/MM stripes and SpMV rows
+	// (-1 = solve Equation 4 / Equation 1; ignored by fw).
 	BF []int `json:"bf,omitempty"`
 	// L is the pipeline-depth axis: LU's Equation 5 panel pipeline
 	// depth, or FW's per-phase processor share l1 (-1 = solve).
@@ -76,7 +78,7 @@ type Point struct {
 	// Index is the point's position in the deterministic enumeration
 	// order; results are always reported in Index order.
 	Index int `json:"index"`
-	// App is the application ("lu", "fw", "mm").
+	// App is the application ("lu", "fw", "mm", "spmv").
 	App string `json:"app"`
 	// Machine is the machine preset name.
 	Machine string `json:"machine"`
@@ -92,7 +94,7 @@ type Point struct {
 	B int `json:"b"`
 	// PEs is the PE-array size (0 = largest that fits).
 	PEs int `json:"pes"`
-	// BF is the LU/MM FPGA row share (-1 = solve).
+	// BF is the LU/MM/SpMV FPGA row share (-1 = solve).
 	BF int `json:"bf"`
 	// L is the LU pipeline depth or FW l1 (-1 = solve).
 	L int `json:"l"`
@@ -168,21 +170,20 @@ func (g Grid) Validate() error {
 }
 
 // NumPoints returns the size of the cross product (after defaulting
-// empty axes to one value each).
+// empty axes to one value each). A product that would overflow int
+// saturates at math.MaxInt, so size limits still reject it.
 func (g Grid) NumPoints() int {
+	lens := []int{len(g.Nodes), len(g.N), len(g.B), len(g.PEs), len(g.BF), len(g.L),
+		len(g.Density), len(g.Apps), len(g.Machines), len(g.Modes)}
 	n := 1
-	for _, axis := range [][]int{g.Nodes, g.N, g.B, g.PEs, g.BF, g.L} {
-		if len(axis) > 0 {
-			n *= len(axis)
+	for _, l := range lens {
+		if l == 0 {
+			continue
 		}
-	}
-	if len(g.Density) > 0 {
-		n *= len(g.Density)
-	}
-	for _, axis := range [][]string{g.Apps, g.Machines, g.Modes} {
-		if len(axis) > 0 {
-			n *= len(axis)
+		if n > math.MaxInt/l {
+			return math.MaxInt
 		}
+		n *= l
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -264,6 +265,30 @@ func TestGridValidation(t *testing.T) {
 	}
 	if err := (Grid{}).Validate(); err != nil {
 		t.Errorf("zero grid invalid: %v", err)
+	}
+}
+
+// axis returns an int axis of n distinct values.
+func axis(n int) []int {
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i + 1
+	}
+	return xs
+}
+
+func TestNumPointsSaturates(t *testing.T) {
+	// Six 2048-entry axes are 2^66 points: a wrapping product gives 0.
+	big := Grid{Nodes: axis(2048), N: axis(2048), B: axis(2048), PEs: axis(2048), BF: axis(2048), L: axis(2048)}
+	if got := big.NumPoints(); got != math.MaxInt {
+		t.Fatalf("NumPoints = %d, want math.MaxInt", got)
+	}
+	if err := big.Validate(); err == nil {
+		t.Fatal("overflowing grid validated")
+	}
+	exact := Grid{Apps: []string{"lu", "mm"}, N: axis(3), Density: []float64{0, 0.5}, PEs: axis(5)}
+	if got := exact.NumPoints(); got != 60 {
+		t.Fatalf("NumPoints = %d, want 60", got)
 	}
 }
 
