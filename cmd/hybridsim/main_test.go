@@ -1,43 +1,38 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"codesign/internal/core"
 	"codesign/internal/trace"
 )
 
 func TestMachineByName(t *testing.T) {
+	// The -machine flag accepts every preset name and rejects unknown ones
+	// before any simulation starts.
 	for _, name := range []string{"xd1", "xt3", "src6", "rasc"} {
-		mc, err := machineByName(name)
+		o := small("mm") // mm's block size is free of the preset's core count
+		o.Machine = name
+		out, err := runCaptured(t, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if mc.Nodes < 1 {
-			t.Fatalf("%s: empty config", name)
+		if !bytes.HasPrefix(out, []byte("machine: ")) {
+			t.Fatalf("%s: report does not open with the machine line:\n%s", name, out)
 		}
 	}
-	if _, err := machineByName("cray-3"); err == nil {
+	o := small("lu")
+	o.Machine = "cray-3"
+	out, err := runCaptured(t, o)
+	if err == nil {
 		t.Fatal("unknown machine accepted")
 	}
-}
-
-func TestModeByName(t *testing.T) {
-	cases := map[string]core.Mode{
-		"hybrid": core.Hybrid, "processor-only": core.ProcessorOnly,
-		"cpu": core.ProcessorOnly, "fpga-only": core.FPGAOnly, "fpga": core.FPGAOnly,
-	}
-	for name, want := range cases {
-		got, err := modeByName(name)
-		if err != nil || got != want {
-			t.Fatalf("%s -> %v, %v", name, got, err)
-		}
-	}
-	if _, err := modeByName("turbo"); err == nil {
-		t.Fatal("unknown mode accepted")
+	if len(out) != 0 {
+		t.Fatalf("unknown machine printed before failing:\n%s", out)
 	}
 }
 
@@ -52,19 +47,60 @@ func small(app string) options {
 		o.N, o.B = 96, 0
 	case "cg":
 		o.N, o.B, o.PEs, o.Functional = 128, 0, 0, false
+	case "spmv":
+		o.N, o.B, o.Density = 256, 0, 0.02
 	}
 	return o
+}
+
+// runCaptured runs o with os.Stdout redirected to a temporary file and
+// returns everything the run printed there.
+func runCaptured(t *testing.T, o options) ([]byte, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	runErr := run(o)
+	os.Stdout = stdout
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, runErr
+}
+
+// checkGolden compares a run's stdout with testdata/<name>.golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: stdout drifted from %s:\n--- got ---\n%s--- want ---\n%s", name, path, got, want)
+	}
 }
 
 func TestRunAllApps(t *testing.T) {
 	// End-to-end through the CLI's run path at small sizes, with the
 	// analysis report on to exercise every app's expected-binding path.
-	for _, app := range []string{"lu", "fw", "mm", "chol", "qr", "cg"} {
+	// The printed report is pinned byte for byte.
+	for _, app := range []string{"lu", "fw", "mm", "spmv", "chol", "qr", "cg"} {
 		o := small(app)
 		o.Analyze = true
-		if err := run(o); err != nil {
+		out, err := runCaptured(t, o)
+		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
+		checkGolden(t, app, out)
 	}
 	if err := run(options{App: "fft", Machine: "xd1", N: 10, B: 2, Mode: "hybrid", BF: -1, L: -1, L1: -1, Seed: 1}); err == nil {
 		t.Fatal("unknown app accepted")
@@ -153,22 +189,20 @@ func TestRunSpansJSONAndDiffAgainst(t *testing.T) {
 }
 
 func TestRunWithFaults(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "faults.json")
-	spec := `{"seed": 3, "window": 0.001, "events": [
-		{"kind": "throttle-bd", "node": 1, "start": 0, "factor": 0.5}]}`
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The spec lives in testdata so the printed path, and with it the
+	// golden report, is stable.
+	path := filepath.Join("testdata", "faults.json")
 	o := small("lu")
 	o.Functional = false // degraded mode reshapes the schedule under real data
 	o.Metrics = false
 	o.Faults = path
-	if err := run(o); err != nil {
+	out, err := runCaptured(t, o)
+	if err != nil {
 		t.Fatalf("faulted lu run: %v", err)
 	}
+	checkGolden(t, "lu-faults", out)
 
-	// Non-LU/FW apps cannot degrade; the flag must be rejected up front.
+	// Apps without fault support must reject the flag up front.
 	bad := small("mm")
 	bad.Faults = path
 	if err := run(bad); err == nil {

@@ -72,27 +72,29 @@ func TestRunGridFileAndCSV(t *testing.T) {
 }
 
 func TestRunArchiveSpans(t *testing.T) {
-	dir := t.TempDir()
-	spansDir := filepath.Join(dir, "frontier")
-	var buf bytes.Buffer
-	err := run(options{
-		Apps: "lu", Machines: "xd1", Modes: "hybrid",
-		Nodes: "0", N: "120", B: "40", PEs: "0", BF: "-1", L: "-1",
-		Method: "sim", ArchiveSpans: spansDir, Quiet: true,
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(spansDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("no frontier span files archived")
-	}
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), "point-") || !strings.HasSuffix(e.Name(), ".spans") {
-			t.Fatalf("unexpected archive file %q", e.Name())
+	for _, o := range []options{
+		{Apps: "lu", Machines: "xd1", Modes: "hybrid",
+			Nodes: "0", N: "120", B: "40", PEs: "0", BF: "-1", L: "-1"},
+		{Apps: "spmv", Machines: "xd1", Modes: "hybrid,processor-only",
+			Nodes: "0", N: "256", Density: "0.02", B: "0", PEs: "0", BF: "-1", L: "-1"},
+	} {
+		spansDir := filepath.Join(t.TempDir(), "frontier")
+		o.Method, o.ArchiveSpans, o.Quiet = "sim", spansDir, true
+		var buf bytes.Buffer
+		if err := run(o, &buf); err != nil {
+			t.Fatalf("%s: %v", o.Apps, err)
+		}
+		entries, err := os.ReadDir(spansDir)
+		if err != nil {
+			t.Fatalf("%s: %v", o.Apps, err)
+		}
+		if len(entries) == 0 {
+			t.Fatalf("%s: no frontier span files archived", o.Apps)
+		}
+		for _, e := range entries {
+			if !strings.HasPrefix(e.Name(), "point-") || !strings.HasSuffix(e.Name(), ".spans") {
+				t.Fatalf("%s: unexpected archive file %q", o.Apps, e.Name())
+			}
 		}
 	}
 }

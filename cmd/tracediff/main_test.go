@@ -158,7 +158,7 @@ func TestCandOverridesAndErrors(t *testing.T) {
 		t.Fatal("mm with faults should fail")
 	}
 	// Unknown app.
-	o = options{App: "qr", Machine: "xd1", Mode: "hybrid", CandPEs: -1}
+	o = options{App: "fft", Machine: "xd1", Mode: "hybrid", CandPEs: -1}
 	if err := run(o, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown inline app should fail")
 	}

@@ -55,10 +55,16 @@ type CGConfig struct {
 // CGRunResult reports a hybrid CG solve.
 type CGRunResult struct {
 	Result
+	// RowsFPGA and RowsCPU are the resolved row split; K is the MV
+	// design's MAC lane count.
 	RowsFPGA, RowsCPU, K int
-	Iterations           int
-	Converged            bool
-	Residual             float64
+	// Iterations is the number of CG iterations run.
+	Iterations int
+	// Converged reports whether the residual reached the tolerance
+	// within the iteration cap.
+	Converged bool
+	// Residual is the final relative residual.
+	Residual float64
 	// LoadSeconds is the one-time cost of staging the FPGA's matrix
 	// share into SRAM over the DRAM path.
 	LoadSeconds float64

@@ -49,9 +49,14 @@ type CholConfig struct {
 // CholResult extends Result with the Cholesky-specific configuration.
 type CholResult struct {
 	Result
+	// BF and BP are the resolved FPGA/processor row split per stripe,
+	// L the panel pipeline depth and K the PE count.
 	BF, BP, L, K int
-	Model        model.LUParams
-	Prediction   model.Prediction
+	// Model is the cost-model instance behind the partition.
+	Model model.LUParams
+	// Prediction is the Section 4.5 forecast, scaled to Cholesky's
+	// flop count.
+	Prediction model.Prediction
 }
 
 type cholJob struct {

@@ -23,6 +23,7 @@ const (
 	FPGAOnly
 )
 
+// String returns the mode's CLI name.
 func (m Mode) String() string {
 	switch m {
 	case Hybrid:
@@ -38,7 +39,8 @@ func (m Mode) String() string {
 
 // Result is the outcome of one simulated run.
 type Result struct {
-	// App is "lu" or "fw".
+	// App is the app-table name ("lu", "fw", "mm", "spmv", "chol",
+	// "qr" or "cg"), or "spmm" for a repeated-apply spmv run.
 	App string
 	// Mode is the design variant.
 	Mode Mode

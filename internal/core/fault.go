@@ -38,10 +38,13 @@ type Repartition struct {
 	Live int `json:"live"`
 	// BF, BP and L are the re-solved Equation (4)/(5) partition (LU).
 	BF int `json:"bf,omitempty"`
+	// BP is the processor's rows of the re-solved split (LU).
 	BP int `json:"bp,omitempty"`
-	L  int `json:"l,omitempty"`
+	// L is the re-solved panel pipeline depth (LU).
+	L int `json:"l,omitempty"`
 	// L1 and L2 are the re-solved Equation (6) split (FW).
 	L1 int `json:"l1,omitempty"`
+	// L2 is the FPGA's ops per phase of the re-solved split (FW).
 	L2 int `json:"l2,omitempty"`
 	// Factors is the degradation the equations were re-solved against.
 	Factors model.Degradation `json:"factors"`

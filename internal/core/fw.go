@@ -42,8 +42,9 @@ type FWConfig struct {
 	// Telemetry attaches a span digest — utilization, bytes moved, and
 	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
-	// Seed and Density drive functional graph generation.
-	Seed    int64
+	// Seed drives functional graph generation.
+	Seed int64
+	// Density is the functional graph's edge density (0 = 0.3).
 	Density float64
 	// Faults, when non-nil, enables fault injection and degraded mode:
 	// the pivot-column owner re-solves Equation (6) at iteration
@@ -60,10 +61,15 @@ type FWConfig struct {
 // FWResult extends Result with the FW-specific configuration.
 type FWResult struct {
 	Result
-	L1, L2, K        int
+	// L1 and L2 are the resolved processor/FPGA ops per phase; K is
+	// the PE count.
+	L1, L2, K int
+	// IterationSeconds is the latency of each outer iteration.
 	IterationSeconds []float64
-	Model            model.FWParams
-	Prediction       model.Prediction
+	// Model is the cost-model instance behind the split.
+	Model model.FWParams
+	// Prediction is the Section 4.5 forecast at the split.
+	Prediction model.Prediction
 }
 
 // fwBcast is a broadcast token: the diagonal block (phase 0) or an op22

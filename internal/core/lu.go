@@ -80,10 +80,15 @@ type LUConfig struct {
 // per-iteration latencies (Figure 6 reads iteration 0).
 type LUResult struct {
 	Result
-	BF, BP, L, K     int
+	// BF and BP are the resolved FPGA/processor row split per stripe,
+	// L the panel pipeline depth and K the PE count.
+	BF, BP, L, K int
+	// IterationSeconds is the latency of each outer iteration.
 	IterationSeconds []float64
-	Model            model.LUParams
-	Prediction       model.Prediction
+	// Model is the cost-model instance behind the partition.
+	Model model.LUParams
+	// Prediction is the Section 4.5 forecast at the partition.
+	Prediction model.Prediction
 }
 
 // luJob is one b×b block multiplication A'_uv = L10_u × U01_v

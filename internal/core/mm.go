@@ -51,8 +51,12 @@ type MMConfig struct {
 // MMResult extends Result with the multiply-specific configuration.
 type MMResult struct {
 	Result
-	BF, BP, K  int
-	Model      model.MMParams
+	// BF and BP are the resolved FPGA/processor result rows per
+	// stripe; K is the PE count.
+	BF, BP, K int
+	// Model is the cost-model instance behind the partition.
+	Model model.MMParams
+	// Prediction is the Section 4.5 forecast at the partition.
 	Prediction model.Prediction
 }
 

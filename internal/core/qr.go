@@ -49,8 +49,13 @@ type QRConfig struct {
 // QRResult extends Result with the QR-specific configuration.
 type QRResult struct {
 	Result
-	BF, BP, K  int
-	Model      model.LUParams
+	// BF and BP are the resolved FPGA/processor row split of the
+	// trailing update; K is the PE count.
+	BF, BP, K int
+	// Model is the cost-model instance behind the partition.
+	Model model.LUParams
+	// Prediction is the Section 4.5 forecast of the QR schedule at
+	// the partition.
 	Prediction model.Prediction
 }
 

@@ -60,19 +60,14 @@ func Degraded() (*Table, error) {
 		},
 	}
 	base := map[string]float64{}
-	lu, err := core.RunLU(core.LUConfig{N: 30000, B: 3000, BF: -1, L: -1, Mode: core.Hybrid})
-	if err != nil {
-		return nil, err
+	for _, app := range []string{"lu", "fw"} {
+		r, err := core.Simulate(app, degradedSpec(app, nil))
+		if err != nil {
+			return nil, err
+		}
+		base[app] = r.Seconds
+		t.Rows = append(t.Rows, []string{app, "nominal", "-", f2(r.Seconds), "-", "0", "-"})
 	}
-	base["lu"] = lu.Seconds
-	fw, err := core.RunFW(core.FWConfig{N: 18432, B: 256, L1: -1, Mode: core.Hybrid})
-	if err != nil {
-		return nil, err
-	}
-	base["fw"] = fw.Seconds
-	t.Rows = append(t.Rows,
-		[]string{"lu", "nominal", "-", f2(lu.Seconds), "-", "0", "-"},
-		[]string{"fw", "nominal", "-", f2(fw.Seconds), "-", "0", "-"})
 
 	for _, sc := range degradedScenarios() {
 		for _, det := range []string{"observed", "oracle"} {
@@ -96,6 +91,16 @@ func Degraded() (*Table, error) {
 	return t, nil
 }
 
+// degradedSizes are the study's problem sizes per app, n then b.
+var degradedSizes = map[string][2]int{"lu": {30000, 3000}, "fw": {18432, 256}}
+
+// degradedSpec is the study's hybrid run of app under inj (nil =
+// fault-free), every partition solved by the model.
+func degradedSpec(app string, inj *fault.Injector) core.Spec {
+	size := degradedSizes[app]
+	return core.Spec{N: size[0], B: size[1], BF: -1, L: -1, L1: -1, Mode: core.Hybrid, Faults: inj}
+}
+
 // runDegraded simulates one app under one fault spec. Injectors are
 // stateful, so a fresh one is built per run.
 func runDegraded(app string, spec *fault.Spec) (seconds float64, reparts int, dead []int, err error) {
@@ -103,21 +108,9 @@ func runDegraded(app string, spec *fault.Spec) (seconds float64, reparts int, de
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	switch app {
-	case "lu":
-		r, err := core.RunLU(core.LUConfig{N: 30000, B: 3000, BF: -1, L: -1,
-			Mode: core.Hybrid, Faults: inj})
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		return r.Seconds, len(r.Repartitions), r.DeadNodes, nil
-	case "fw":
-		r, err := core.RunFW(core.FWConfig{N: 18432, B: 256, L1: -1,
-			Mode: core.Hybrid, Faults: inj})
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		return r.Seconds, len(r.Repartitions), nil, nil
+	r, err := core.Simulate(app, degradedSpec(app, inj))
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	return 0, 0, nil, fmt.Errorf("exper: unknown degraded app %q", app)
+	return r.Seconds, len(r.Repartitions), r.DeadNodes, nil
 }

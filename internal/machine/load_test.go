@@ -90,6 +90,11 @@ func TestResolve(t *testing.T) {
 	if c, err := Resolve("xd1"); err != nil || c.Nodes != 6 {
 		t.Fatalf("preset resolve: %+v, %v", c, err)
 	}
+	for _, name := range []string{"xd1", "xt3", "src6", "rasc"} {
+		if c, err := Resolve(name); err != nil || c.Nodes < 1 {
+			t.Fatalf("preset %s: %+v, %v", name, c, err)
+		}
+	}
 	path := filepath.Join(t.TempDir(), "box.json")
 	if err := os.WriteFile(path, []byte(validDoc), 0o644); err != nil {
 		t.Fatal(err)

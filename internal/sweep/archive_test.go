@@ -57,6 +57,44 @@ func TestArchiveFrontierSpans(t *testing.T) {
 	}
 }
 
+func TestArchiveFrontierSpansSpMV(t *testing.T) {
+	// Every frontier point of a sparse sweep archives through the spmv
+	// simulation, so its makespan is exactly the one the sweep measured.
+	g := Grid{
+		Apps: []string{"spmv"},
+		N:    []int{256}, Density: []float64{0.02},
+		Modes:  []string{"hybrid", "processor-only"},
+		Method: MethodSim,
+	}
+	res, err := Run(context.Background(), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ParetoIndices) == 0 {
+		t.Fatal("no frontier to archive")
+	}
+	paths, err := ArchiveFrontierSpans(res, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(res.ParetoIndices) {
+		t.Fatalf("archived %d files, want %d frontier points", len(paths), len(res.ParetoIndices))
+	}
+	for i, idx := range res.ParetoIndices {
+		meta, spans, err := trace.ReadSpansFile(paths[i])
+		if err != nil {
+			t.Fatalf("%s unreadable: %v", paths[i], err)
+		}
+		if meta.App != "spmv" || len(spans) == 0 {
+			t.Fatalf("%s meta = %+v with %d spans", paths[i], meta, len(spans))
+		}
+		if meta.Makespan != res.Outcomes[idx].Seconds {
+			t.Fatalf("%s makespan %g != sweep seconds %g",
+				paths[i], meta.Makespan, res.Outcomes[idx].Seconds)
+		}
+	}
+}
+
 func TestArchiveFrontierSpansModelMethod(t *testing.T) {
 	// A model-method sweep still archives measured traces: the archive
 	// re-simulates regardless of the sweep's evaluation method.

@@ -267,17 +267,6 @@ func appDefaults(app string) (n, b int) {
 	}
 }
 
-func modeByName(name string) core.Mode {
-	switch name {
-	case "processor-only":
-		return core.ProcessorOnly
-	case "fpga-only":
-		return core.FPGAOnly
-	default:
-		return core.Hybrid
-	}
-}
-
 // resolved is a Point with sentinels replaced: concrete machine
 // config, problem/block sizes and PE count.
 type resolved struct {
@@ -302,7 +291,11 @@ func (ev *evaluator) resolve(pt Point) (resolved, error) {
 		return resolved{}, err
 	}
 	cfg = cfg.WithNodes(pt.Nodes)
-	r := resolved{pt: pt, cfg: cfg, mode: modeByName(pt.Mode), n: pt.N, b: pt.B}
+	mode, err := core.ParseMode(pt.Mode)
+	if err != nil {
+		return resolved{}, err
+	}
+	r := resolved{pt: pt, cfg: cfg, mode: mode, n: pt.N, b: pt.B}
 	dn, db := appDefaults(pt.App)
 	if r.n == 0 {
 		r.n = dn
@@ -457,19 +450,7 @@ func (ev *evaluator) evalLU(r resolved, method string) Outcome {
 		return out
 	}
 
-	rec := ev.recorder()
-	res, err := core.RunLU(core.LUConfig{
-		Machine: cfg, N: n, B: b, PEs: r.k, BF: r.pt.BF, L: r.pt.L,
-		Mode: r.mode, Observer: rec,
-	})
-	if err != nil {
-		ev.recs.Put(rec)
-		return fail(err)
-	}
-	expect, _ := res.Model.StripeBinding(res.BF)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"opmm": expect},
-		func(o *Outcome) { o.BF, o.BP, o.L = res.BF, res.BP, res.L })
+	return ev.measured(out, r)
 }
 
 func (ev *evaluator) evalFW(r resolved, method string) Outcome {
@@ -524,23 +505,7 @@ func (ev *evaluator) evalFW(r resolved, method string) Outcome {
 		return out
 	}
 
-	gridL1 := r.pt.L
-	if r.mode != core.Hybrid {
-		gridL1 = -1 // RunFW derives baseline splits itself
-	}
-	rec := ev.recorder()
-	res, err := core.RunFW(core.FWConfig{
-		Machine: cfg, N: n, B: b, PEs: r.k, L1: gridL1,
-		Mode: r.mode, Observer: rec,
-	})
-	if err != nil {
-		ev.recs.Put(rec)
-		return fail(err)
-	}
-	expect, _ := res.Model.PhaseBinding(res.L1, res.L2)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"op": expect},
-		func(o *Outcome) { o.L1, o.L2 = res.L1, res.L2 })
+	return ev.measured(out, r)
 }
 
 func (ev *evaluator) evalMM(r resolved, method string) Outcome {
@@ -592,19 +557,7 @@ func (ev *evaluator) evalMM(r resolved, method string) Outcome {
 		return out
 	}
 
-	rec := ev.recorder()
-	res, err := core.RunMM(core.MMConfig{
-		Machine: cfg, N: n, PEs: r.k, BF: r.pt.BF,
-		Mode: r.mode, Observer: rec,
-	})
-	if err != nil {
-		ev.recs.Put(rec)
-		return fail(err)
-	}
-	expect, _ := res.Model.StripeBinding(res.BF)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"stripe": expect},
-		func(o *Outcome) { o.BF, o.BP = res.BF, res.BP })
+	return ev.measured(out, r)
 }
 
 func (ev *evaluator) evalSpMV(r resolved, method string) Outcome {
@@ -667,38 +620,43 @@ func (ev *evaluator) evalSpMV(r resolved, method string) Outcome {
 		return out
 	}
 
-	rec := ev.recorder()
-	res, err := core.RunSpMV(core.SpMVConfig{
-		Machine: cfg, N: n, Density: r.pt.Density, PEs: r.k, RowsFPGA: r.pt.BF,
-		Mode: r.mode, Observer: rec,
+	return ev.measured(out, r)
+}
+
+// simulate runs a resolved point's full simulation through the core
+// app table with rec attached. It is the one MethodSim configuration:
+// measured and the frontier span archive both call it, so an archived
+// trace is exactly the run the sweep measured.
+func (ev *evaluator) simulate(r resolved, rec *trace.Recorder) (*core.AppRun, error) {
+	// The grid's L axis is LU's pipeline depth and FW's l1; RunFW reads
+	// l1 only in hybrid mode, deriving the baseline splits itself.
+	return core.Simulate(r.pt.App, core.Spec{
+		Machine: r.cfg, N: r.n, B: r.b, PEs: r.k, BF: r.pt.BF, L: r.pt.L, L1: r.pt.L,
+		Density: r.pt.Density, Mode: r.mode, Observer: rec,
 	})
-	if err != nil {
-		ev.recs.Put(rec)
-		return fail(err)
-	}
-	expect, _ := res.Model.StripeBinding(res.RowsFPGA)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"stream": expect},
-		func(o *Outcome) { o.BF, o.BP = res.RowsFPGA, res.RowsCPU })
 }
 
 // measured finishes a MethodSim outcome: measured throughput, the
-// Section 4.5 prediction, the telemetry overlap efficiency, and the
-// dominant phase's measured binding from the internal/analysis
-// bottleneck classifier. It consumes rec — the span digest runs on the
-// recorder's buffer in place and the recorder returns to the pool — so
-// callers must not touch rec afterwards.
-func (ev *evaluator) measured(out Outcome, res *core.Result, pred model.Prediction,
-	rec *trace.Recorder, expected map[string]model.Binding, fill func(*Outcome)) Outcome {
+// Section 4.5 prediction, the resolved split, the telemetry overlap
+// efficiency, and the dominant phase's measured binding from the
+// internal/analysis bottleneck classifier. The span digest runs on a
+// pooled recorder's buffer in place.
+func (ev *evaluator) measured(out Outcome, r resolved) Outcome {
+	rec := ev.recorder()
 	defer ev.recs.Put(rec)
-	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = res.GFLOPS, res.Seconds, pred.GFLOPS
+	res, err := ev.simulate(r, rec)
+	if err != nil {
+		return fail(err)
+	}
+	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = res.GFLOPS, res.Seconds, res.Prediction.GFLOPS
 	// Digest the sweep's own recorder instead of asking the run for a
 	// full telemetry summary: ComputeOverlap over the same span stream
 	// and makespan yields the identical efficiency at a fraction of the
 	// cost (no per-process/per-resource digest per grid point).
 	out.OverlapEfficiency = trace.ComputeOverlap(rec.SpansView(), res.Seconds).Efficiency()
-	fill(&out)
-	phases := analysis.ClassifyPhases(rec.SpansView(), expected)
+	sp := res.Split
+	out.BF, out.BP, out.L, out.L1, out.L2 = sp.BF, sp.BP, sp.L, sp.L1, sp.L2
+	phases := analysis.ClassifyPhases(rec.SpansView(), res.Expected)
 	var busiest *analysis.PhaseStats
 	for i := range phases {
 		if phases[i].Phase == "" {
