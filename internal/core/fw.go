@@ -213,8 +213,9 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 		node := sys.Nodes[i]
 		me := i
 		sys.Eng.Go(fmt.Sprintf("node%d.cpu", me), func(pr *sim.Proc) {
+			ops := make([]fwOp, 0, fr.colsPer+1)
 			for t := 0; t < fr.nb; t++ {
-				fr.runIteration(pr, node, me, t)
+				fr.runIteration(pr, node, me, t, ops)
 				if me == 0 {
 					iterEnd[t] = pr.Now()
 				}
@@ -260,8 +261,10 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 
 // runIteration is iteration t on node me: nb phases, each preceded by a
 // broadcast from the pivot-column owner, each performing this node's
-// n/(b·p) block operations split between processor and FPGA.
-func (fr *fwRun) runIteration(pr *sim.Proc, node *machine.Node, me, t int) {
+// n/(b·p) block operations split between processor and FPGA. ops is the
+// node's reusable phase buffer (capacity colsPer+1); runOps keeps no
+// reference to it.
+func (fr *fwRun) runIteration(pr *sim.Proc, node *machine.Node, me, t int, ops []fwOp) {
 	tq := fr.owner(t)
 	nb := fr.nb
 
@@ -281,10 +284,8 @@ func (fr *fwRun) runIteration(pr *sim.Proc, node *machine.Node, me, t int) {
 		return u
 	}
 
-	myCols := make([]int, 0, fr.colsPer)
-	for c := me * fr.colsPer; c < (me+1)*fr.colsPer; c++ {
-		myCols = append(myCols, c)
-	}
+	// This node owns block columns [lo, hi).
+	lo, hi := me*fr.colsPer, (me+1)*fr.colsPer
 
 	for ph := 0; ph < nb; ph++ {
 		// --- Broadcast for this phase. ---
@@ -313,19 +314,19 @@ func (fr *fwRun) runIteration(pr *sim.Proc, node *machine.Node, me, t int) {
 		// --- This phase's block operations. ---
 		// The owner's op22 for the next phase's broadcast goes first
 		// so the whole-task split keeps it in the processor segment.
-		var ops []fwOp
+		ops = ops[:0]
 		if me == tq && ph < nb-1 {
 			ops = append(ops, fwOp{kind: op22, u: rowAt(ph + 1), v: t})
 		}
 		if ph == 0 {
-			for _, q := range myCols {
+			for q := lo; q < hi; q++ {
 				if q != t {
 					ops = append(ops, fwOp{kind: op21, u: t, v: q})
 				}
 			}
 		} else {
 			u := rowAt(ph)
-			for _, q := range myCols {
+			for q := lo; q < hi; q++ {
 				if q != t {
 					ops = append(ops, fwOp{kind: op3, u: u, v: q})
 				}

@@ -15,8 +15,9 @@ import "sync/atomic"
 // Engine.SetCounters or process-wide with InstallCounters.
 //
 // The handoff/self-resume split directly measures the scheduler cost
-// the ROADMAP's engine-speed item targets: a baton handoff is a real
-// goroutine switch (~µs), a self-resume is a function return (~ns), so
+// the ROADMAP's engine-speed item targets: a handoff is a coroutine
+// switch out to the driver and into the next process (tens of ns), a
+// self-resume is a function return (a few ns), so
 // Handoffs/(Handoffs+SelfResumes) is the fraction of events paying the
 // expensive path.
 type Counters struct {
@@ -24,11 +25,11 @@ type Counters struct {
 	EventsPopped atomic.Int64
 	// Callbacks counts scheduler-context callbacks run inline.
 	Callbacks atomic.Int64
-	// Handoffs counts baton handoffs that woke another process's
-	// goroutine (the ~2.25 µs path).
+	// Handoffs counts resumes of a process other than the parker: one
+	// per switch into another process's coroutine.
 	Handoffs atomic.Int64
 	// SelfResumes counts self-resume fast-path hits: the parking
-	// process was the next runnable one, so no goroutine switched.
+	// process was the next runnable one, so no coroutine switched.
 	SelfResumes atomic.Int64
 	// FusedSteps counts intermediate fused-sequence boundaries the
 	// engine advanced in scheduler context (see Resource.UseSeq): each

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"sync"
@@ -9,14 +12,15 @@ import (
 
 // Engine owns the virtual clock and the event queue.
 //
-// Scheduling is cooperative and single-threaded in effect: although
-// every process runs on its own goroutine (so its body can block in
-// ordinary Go code), exactly one goroutine — the "baton holder" — is
-// ever runnable. The holder pops events and either executes scheduler
-// callbacks inline or hands the baton to the next process with a single
-// buffered-channel send. A process that blocks and immediately becomes
-// the next runnable process resumes itself without any goroutine
-// switch at all. See DESIGN.md "Engine internals".
+// Scheduling is cooperative and strictly sequential: every process body
+// runs on a runtime coroutine (iter.Pull), so it can block in ordinary
+// Go code, but only one coroutine runs at a time. Run is the driver
+// loop: it pops events, runs scheduler callbacks inline, and switches
+// into the next process's coroutine. A parking process pops events
+// itself; if it is the next runnable process it simply returns (no
+// switch at all), otherwise it records its successor and yields to the
+// driver. Coroutines come from a process-wide pool of workers and go
+// back to it when their process ends. See DESIGN.md "Engine internals".
 type Engine struct {
 	now      float64
 	seq      int64
@@ -27,14 +31,10 @@ type Engine struct {
 	running  bool
 	until    float64
 	horizon  bool
-	aborting bool
 
-	// done is signaled (buffered, exactly once per Run) by whichever
-	// baton holder finds nothing left to run: queue empty, horizon
-	// reached, or a process panic.
-	done chan struct{}
-	// abortAck serializes the teardown handshake of abortBlocked.
-	abortAck chan struct{}
+	// next is the process a parker found runnable (nil: nothing left
+	// to run), handed to the driver along with control.
+	next *Proc
 
 	// Trace, if non-nil, receives one call per interesting engine
 	// action (process resume, wait, block). Useful for debugging and
@@ -75,11 +75,7 @@ type waitFrontEntry struct {
 // New returns an empty engine with the clock at 0. The engine
 // inherits the process-wide counter sink, if InstallCounters set one.
 func New() *Engine {
-	return &Engine{
-		done:     make(chan struct{}, 1),
-		abortAck: make(chan struct{}, 1),
-		ctr:      defaultCounters.Load(),
-	}
+	return &Engine{ctr: defaultCounters.Load()}
 }
 
 // Now returns the current virtual time in seconds.
@@ -186,7 +182,7 @@ func (e *Engine) scheduleProc(t float64, p *Proc) { e.schedule(t, p, nil) }
 // the past). fn runs in scheduler context and must not block.
 func (e *Engine) At(t float64, fn func()) { e.schedule(t, nil, fn) }
 
-// abortError unwinds a process goroutine when the engine shuts down.
+// abortError unwinds a process body when the engine shuts down.
 type abortError struct{}
 
 // Park-reason kinds; see Proc.park.
@@ -256,7 +252,8 @@ func formatWaitReason(kind int, d float64) string {
 type Proc struct {
 	eng     *Engine
 	name    string
-	resume  chan bool // buffered(1): true = run, false = abort
+	fn      func(p *Proc)
+	w       *worker // coroutine running fn; nil before the first resume and after exit
 	done    bool
 	aborted bool
 	blocked bool
@@ -308,8 +305,8 @@ func (p *Proc) reason() string {
 }
 
 // Go spawns a process that starts at the current virtual time. The
-// function fn runs in its own goroutine but only while it holds the
-// scheduler's baton; it advances time via p.Wait and friends.
+// function fn runs on a coroutine, only while the scheduler has
+// switched to it; it advances time via p.Wait and friends.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(e.now, name, fn)
 }
@@ -320,65 +317,132 @@ func (e *Engine) GoAt(t float64, name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(t float64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan bool, 1)}
+	p := &Proc{eng: e, name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	if e.ctr != nil {
 		e.ctr.Spawns.Add(1)
 	}
-	go func() {
-		run := <-p.resume
-		defer func() {
-			r := recover()
-			if _, ok := r.(abortError); ok {
-				r = nil
-			}
-			p.pv = r
-			p.done = true
-			e.procExit(p)
-		}()
-		if run {
-			fn(p)
-		}
-	}()
 	e.scheduleProc(t, p)
 	return p
 }
 
-// procExit runs on a process goroutine as its final act: it either
-// acknowledges an engine teardown, stops the run on a panic, or passes
-// the baton onward.
-func (e *Engine) procExit(p *Proc) {
-	if e.aborting {
-		e.abortAck <- struct{}{}
-		return
+// body runs the process function to completion on its worker,
+// recording a panic (other than the teardown unwind) for Run to report.
+func (p *Proc) body() {
+	defer func() {
+		r := recover()
+		if _, ok := r.(abortError); ok {
+			r = nil
+		}
+		p.pv = r
+		p.done = true
+	}()
+	p.fn(p)
+}
+
+// worker is a pooled coroutine that runs process bodies one after
+// another. Between bodies it is suspended in yield, which is also how
+// it waits in the pool.
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process being run; nil while pooled
+}
+
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.p.body()
+		if !yield(struct{}{}) {
+			return // stopped by putWorker
+		}
 	}
+}
+
+// workerPoolCap bounds the idle workers kept for reuse. It covers the
+// live processes of the largest simulations several times over, so a
+// design-space sweep's engines rarely create a coroutine; an idle
+// worker costs one parked goroutine and its stack.
+const workerPoolCap = 256
+
+// workerPool is the process-wide free list of idle workers. It is a
+// mutex-guarded slice rather than a sync.Pool: a pool entry dropped by
+// the collector would leak its parked goroutine.
+var workerPool struct {
+	sync.Mutex
+	free []*worker
+}
+
+func getWorker(p *Proc) *worker {
+	var w *worker
+	workerPool.Lock()
+	if n := len(workerPool.free); n > 0 {
+		w = workerPool.free[n-1]
+		workerPool.free[n-1] = nil
+		workerPool.free = workerPool.free[:n-1]
+	}
+	workerPool.Unlock()
+	if w == nil {
+		w = new(worker)
+		w.next, w.stop = iter.Pull(w.loop)
+	}
+	w.p = p
+	return w
+}
+
+// putWorker returns an idle worker (suspended between bodies) to the
+// pool, or ends its coroutine if the pool is full.
+func putWorker(w *worker) {
+	w.p = nil
+	workerPool.Lock()
+	pooled := len(workerPool.free) < workerPoolCap
+	if pooled {
+		workerPool.free = append(workerPool.free, w)
+	}
+	workerPool.Unlock()
+	if !pooled {
+		w.stop()
+	}
+}
+
+// resume switches to p's coroutine until it parks or exits, and
+// returns the process to resume next (nil when nothing is runnable).
+// Only the driver, Run, calls it.
+func (e *Engine) resume(p *Proc) *Proc {
+	if p.w == nil {
+		p.w = getWorker(p)
+	}
+	e.next = nil
+	p.w.next()
+	if !p.done {
+		return e.next // parked; it popped events up to its successor
+	}
+	putWorker(p.w)
+	p.w = nil
 	if p.pv != nil {
 		if e.failure == nil {
 			e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, p.pv)
 		}
-		e.done <- struct{}{}
-		return
+		return nil
 	}
-	e.dispatch(nil)
+	return e.dispatch(nil)
 }
 
-// dispatch advances the event loop while holding the baton. It pops
-// events, runs scheduler callbacks inline, and on reaching a process
-// resume either reports it as self (the caller parks and resumes in
-// one step, no goroutine switch) or wakes the target and gives the
-// baton away. When nothing remains runnable — queue empty, horizon
-// reached, or failure — it signals Run and returns false.
-func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
+// dispatch advances the event loop. It pops events and runs scheduler
+// callbacks inline until it reaches a process resume, and returns that
+// process; self is the parking caller (nil in the driver), for which
+// resuming costs no switch at all. It returns nil when nothing remains
+// runnable: queue empty or horizon reached.
+func (e *Engine) dispatch(self *Proc) *Proc {
 	for {
 		if e.queue.len() == 0 {
-			e.done <- struct{}{}
-			return false
+			return nil
 		}
 		if e.until > 0 && e.queue.ev[0].t > e.until {
 			e.now = e.until
 			e.horizon = true
-			e.done <- struct{}{}
-			return false
+			return nil
 		}
 		ev := e.queue.pop()
 		e.now = ev.t
@@ -404,22 +468,19 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 			e.nblocked--
 		}
 		e.emitEvent(e.now, p.name, "resume")
-		if p == self {
-			if e.ctr != nil {
-				e.ctr.SelfResumes.Add(1)
-			}
-			return true
-		}
 		if e.ctr != nil {
-			e.ctr.Handoffs.Add(1)
+			if p == self {
+				e.ctr.SelfResumes.Add(1)
+			} else {
+				e.ctr.Handoffs.Add(1)
+			}
 		}
-		p.resume <- true
-		return false
+		return p
 	}
 }
 
-// park yields the baton back to the scheduler; the caller must have
-// already arranged for a future resume. The reason (recorded without
+// park suspends the calling process; the caller must have already
+// arranged for a future resume. The reason (recorded without
 // formatting for deadlock reports, and as a cached string for traces)
 // is given by kind/why/dur; see parkOn and friends.
 func (p *Proc) park(kind int, why *parkReason, dur float64) {
@@ -436,11 +497,13 @@ func (p *Proc) park(kind int, why *parkReason, dur float64) {
 		}
 		e.emitEvent(e.now, p.name, why.action)
 	}
-	if e.dispatch(p) {
+	next := e.dispatch(p)
+	if next == p {
 		return // next runnable process is this one: no switch needed
 	}
-	if run := <-p.resume; !run {
-		p.aborted = true
+	e.next = next
+	p.w.yield(struct{}{})
+	if p.aborted {
 		panic(abortError{})
 	}
 }
@@ -493,48 +556,61 @@ func (d *Deadlock) Error() string {
 // panics, or (if until > 0) virtual time reaches until. It returns a
 // *Deadlock error if processes remain blocked with no pending events,
 // or the first process panic. Run aborts and unwinds any still-blocked
-// processes before returning, so goroutines do not leak.
+// processes before returning, so their coroutines go back to the pool.
+//
+// Run must not be called from a goroutine locked to its OS thread
+// (runtime.LockOSThread, or package initialization, during which the
+// runtime locks the main goroutine): the pooled coroutines are shared
+// by all goroutines, and the runtime aborts the program when a locked
+// goroutine switches to a coroutine created on another thread.
 func (e *Engine) Run(until float64) error {
 	if e.running {
 		return fmt.Errorf("sim: Run is not reentrant")
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	defer e.abortBlocked()
 
 	e.until = until
 	e.horizon = false
-	e.dispatch(nil) // hold the baton until the first process resume
-	<-e.done
+	for p := e.dispatch(nil); p != nil; {
+		p = e.resume(p)
+	}
 
-	var err error
 	if e.failure != nil {
-		err = e.failure
-	} else if !e.horizon && e.nblocked > 0 {
+		return e.failure
+	}
+	if !e.horizon && e.nblocked > 0 {
 		d := &Deadlock{Time: e.now, Stuck: make(map[string]string, e.nblocked)}
 		for _, p := range e.procs {
 			if p.blocked {
 				d.Stuck[p.name] = p.reason()
 			}
 		}
-		err = d
+		return d
 	}
-	e.abortBlocked()
-	return err
+	return nil
 }
 
-// abortBlocked unwinds every live process — parked or never started —
-// so its goroutine exits, then recycles the event queue's scratch.
+// abortBlocked ends every live process: a parked one is resumed with
+// its abort flag set, so its body unwinds through abortError and its
+// worker returns to the pool; one never started has no coroutine and
+// is just marked done. It then recycles the event queue's scratch.
 func (e *Engine) abortBlocked() {
-	e.aborting = true
 	for _, p := range e.procs {
 		if p.done {
 			continue
 		}
 		p.blocked = false
-		p.resume <- false
-		<-e.abortAck
+		if p.w == nil {
+			p.done = true
+			continue
+		}
+		p.aborted = true
+		p.w.next()
+		putWorker(p.w)
+		p.w = nil
 	}
-	e.aborting = false
 	e.nblocked = 0
 	// Drop events referencing finished procs and return the cleared
 	// backing array to the pool for the next engine.

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -433,17 +435,141 @@ func TestTraceHook(t *testing.T) {
 	}
 }
 
-func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
-	// A deadlocked run must still unwind all process goroutines; the
-	// abort path is exercised by running many deadlocked engines.
-	for i := 0; i < 50; i++ {
+// teardownKinds builds engines that end in each way Run can stop with
+// live processes: a deadlock, a process panic, a horizon stop and
+// processes that never started. Each run must return its workers to
+// the pool.
+var teardownKinds = []struct {
+	name string
+	run  func() error
+}{
+	{"deadlock", func() error {
 		e := New()
 		mb := NewMailbox(e, "never")
 		for j := 0; j < 4; j++ {
-			e.Go(fmt.Sprintf("p%d", j), func(p *Proc) { mb.Get(p) })
+			e.Go(Name("p", j), func(p *Proc) { p.Wait(1); mb.Get(p) })
 		}
-		if err := e.Run(0); err == nil {
-			t.Fatal("expected deadlock")
+		if err := e.Run(0); !errors.As(err, new(*Deadlock)) {
+			return fmt.Errorf("want deadlock, got %v", err)
+		}
+		return nil
+	}},
+	{"panic", func() error {
+		e := New()
+		r := NewResource(e, "r", 1)
+		for j := 0; j < 3; j++ {
+			e.Go(Name("p", j), func(p *Proc) { r.Use(p, 5) })
+		}
+		e.Go("bad", func(p *Proc) { p.Wait(1); panic("boom") })
+		if err := e.Run(0); err == nil || !strings.Contains(err.Error(), "boom") {
+			return fmt.Errorf("want panic error, got %v", err)
+		}
+		return nil
+	}},
+	{"horizon", func() error {
+		e := New()
+		for j := 0; j < 3; j++ {
+			e.Go(Name("p", j), func(p *Proc) {
+				p.WaitSeq(DeviceCPU, "cpu", []Charge{{Dt: 1}, {Dt: 1}, {Dt: 100}})
+			})
+		}
+		if err := e.Run(10); err != nil {
+			return err
+		}
+		return nil
+	}},
+	{"never-started", func() error {
+		e := New()
+		e.Go("early", func(p *Proc) { p.Wait(1) })
+		for j := 0; j < 3; j++ {
+			e.GoAt(100, Name("late", j), func(p *Proc) { panic("must not run") })
+		}
+		if err := e.Run(10); err != nil {
+			return err
+		}
+		return nil
+	}},
+}
+
+// Every teardown path — deadlock, panic, horizon, never-started, and a
+// run with more live processes than the pool holds — must leave at most
+// workerPoolCap idle worker goroutines behind, even with engines
+// running on several goroutines at once.
+func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const goroutines, perGoroutine = 4, 256
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				k := teardownKinds[(g+i)%len(teardownKinds)]
+				if err := k.run(); err != nil {
+					errs <- fmt.Errorf("%s: %v", k.name, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// Overflow the pool: more parked processes than it keeps.
+	e := New()
+	mb := NewMailbox(e, "never")
+	for j := 0; j < workerPoolCap+50; j++ {
+		e.Go(Name("p", j), func(p *Proc) { mb.Get(p) })
+	}
+	if err := e.Run(0); err == nil {
+		t.Fatal("expected deadlock")
+	}
+	if n := runtime.NumGoroutine(); n > before+workerPoolCap {
+		t.Fatalf("%d goroutines after teardown, want <= %d before + %d pooled", n, before, workerPoolCap)
+	}
+}
+
+// A worker reused after each kind of teardown runs the next engine's
+// process correctly: it starts the new body, parks, resumes and exits.
+func TestWorkerReusedAfterTeardown(t *testing.T) {
+	for _, k := range teardownKinds {
+		if err := k.run(); err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		workerPool.Lock()
+		n := len(workerPool.free)
+		var top *worker
+		if n > 0 {
+			top = workerPool.free[n-1]
+		}
+		workerPool.Unlock()
+		if top == nil {
+			t.Fatalf("%s: teardown returned no worker to the pool", k.name)
+		}
+
+		e := New()
+		mb := NewMailbox(e, "mb")
+		var got []string
+		e.Go("reuser", func(p *Proc) {
+			if p.w != top {
+				t.Errorf("%s: reuser did not get the last pooled worker", k.name)
+			}
+			p.Wait(2)
+			got = append(got, fmt.Sprint(mb.Get(p), "@", p.Now()))
+		})
+		e.Go("sender", func(p *Proc) {
+			p.Wait(3)
+			mb.Put("msg")
+		})
+		if err := e.Run(0); err != nil {
+			t.Fatalf("%s: reuse run: %v", k.name, err)
+		}
+		if len(got) != 1 || got[0] != "msg@3" || e.Now() != 3 {
+			t.Fatalf("%s: reuse run got %v at t=%v, want [msg@3] at 3", k.name, got, e.Now())
 		}
 	}
 }
