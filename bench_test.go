@@ -19,6 +19,7 @@ import (
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/sim"
+	"codesign/internal/trace"
 )
 
 // BenchmarkBaselineDrift re-runs the headline suite and reports its
@@ -389,6 +390,27 @@ func BenchmarkFWFullSimulation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFWTelemetry measures Headline's telemetry path for the
+// hybrid n=18432 Floyd-Warshall run: the simulation with a span
+// recorder attached, then the overlap efficiency and the critical path
+// read in place from the recorder. Against BenchmarkFWFullSimulation
+// it prices the span log and its two digests.
+func BenchmarkFWTelemetry(b *testing.B) {
+	var eff float64
+	var hops int
+	for i := 0; i < b.N; i++ {
+		rec := trace.NewRecorder()
+		r, err := core.RunFW(core.FWConfig{N: 18432, B: 256, L1: -1, Mode: core.Hybrid, Observer: rec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eff = trace.ComputeOverlap(rec.SpansView(), r.Seconds).Efficiency()
+		hops = len(analysis.ExtractCriticalPath(rec.SpansView(), r.Seconds))
+	}
+	b.ReportMetric(eff, "overlap_eff")
+	b.ReportMetric(float64(hops), "critical_path_hops")
 }
 
 // --- Extension-application benches ---

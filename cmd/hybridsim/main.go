@@ -246,7 +246,7 @@ func run(o options) error {
 		}
 	}
 	if o.Analyze {
-		rep := analysis.Analyze(rec.Spans(), res.Seconds, analysis.Options{Expected: res.Expected})
+		rep := analysis.Analyze(rec.SpansView(), res.Seconds, analysis.Options{Expected: res.Expected})
 		fmt.Println()
 		if err := rep.WriteReport(os.Stdout); err != nil {
 			return fmt.Errorf("analyze: %w", err)
@@ -264,7 +264,7 @@ func run(o options) error {
 		if err := writeTo(o.SpansOut, rec.WriteSpansCSV); err != nil {
 			return fmt.Errorf("spans-out: %w", err)
 		}
-		fmt.Printf("spans:             %d spans -> %s\n", len(rec.Spans()), o.SpansOut)
+		fmt.Printf("spans:             %d spans -> %s\n", len(rec.SpansView()), o.SpansOut)
 	}
 	if o.SpansJSON != "" {
 		meta := trace.Meta{App: o.App, Machine: mc.Name, Label: o.App, Makespan: res.Seconds}
@@ -280,7 +280,7 @@ func run(o options) error {
 			return fmt.Errorf("trace-out: %w", err)
 		}
 		fmt.Printf("trace:             %d spans -> %s (chrome://tracing, ui.perfetto.dev)\n",
-			len(rec.Spans()), o.TraceOut)
+			len(rec.SpansView()), o.TraceOut)
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"codesign/internal/sim"
 )
@@ -52,73 +53,123 @@ func ExtractCriticalPath(spans []sim.SpanEvent, makespan float64) []Hop {
 	if makespan <= 0 {
 		return nil
 	}
-	// Positive-width spans only, sorted by End ascending: the walk
-	// binary-searches for the latest finisher at or before t.
-	ss := make([]sim.SpanEvent, 0, len(spans))
-	for _, s := range spans {
+	// Positive-width spans only, ordered by End ascending: the walk
+	// scans down for the latest finisher at or before t. The
+	// filter keeps int32 indices into spans (88-byte structs) rather
+	// than copies, and reads them in place. Recorder emission order
+	// already has nondecreasing ends, so the indices are sorted only
+	// when that order does not hold (callers that pass reordered
+	// spans). Among equal ends the walk compares every candidate under
+	// better's tie-break order, so which order they sit in does not
+	// change the path.
+	idx := make([]int32, 0, len(spans))
+	inOrder := true
+	for i := range spans {
+		s := &spans[i]
 		if s.End > s.Start && s.Start < makespan {
-			ss = append(ss, s)
+			if n := len(idx); n > 0 && s.End < spans[idx[n-1]].End {
+				inOrder = false
+			}
+			idx = append(idx, int32(i))
 		}
 	}
-	sort.Slice(ss, func(i, j int) bool { return ss[i].End < ss[j].End })
+	if !inOrder {
+		slices.SortFunc(idx, func(a, b int32) int {
+			if c := cmp.Compare(spans[a].End, spans[b].End); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
 
-	var rev []Hop // built back-to-front
+	// The walk records its hops back to front as pointer-free steps
+	// (span index, or -1 for idle, and interval), so growing the list
+	// costs the collector nothing; Hops are built once at the end.
+	var rev []step
 	idle := func(start, end float64) {
 		if end > start {
-			rev = append(rev, Hop{Category: sim.CatIdle, Start: start, End: end})
+			rev = append(rev, step{span: -1, start: start, end: end})
 		}
 	}
 
 	t := makespan
 	prevProc := ""
+	i := len(idx) // idx[:i] are the spans finishing at or before t
 	for t > 0 {
-		// Latest finisher at or before t.
-		i := sort.Search(len(ss), func(k int) bool { return ss[k].End > t })
+		// Latest finisher at or before t. t never increases, so the
+		// boundary only moves down: one backward scan over idx serves
+		// the whole walk.
+		for i > 0 && spans[idx[i-1]].End > t {
+			i--
+		}
 		if i == 0 {
 			idle(0, t)
 			break
 		}
-		maxEnd := ss[i-1].End
-		best := ss[i-1]
-		for j := i - 2; j >= 0 && ss[j].End == maxEnd; j-- {
-			if better(ss[j], best, prevProc) {
-				best = ss[j]
+		bi := idx[i-1]
+		maxEnd := spans[bi].End
+		for j := i - 2; j >= 0 && spans[idx[j]].End == maxEnd; j-- {
+			if better(&spans[idx[j]], &spans[bi], prevProc) {
+				bi = idx[j]
 			}
 		}
 		idle(maxEnd, t)
-		start := best.Start
+		start := spans[bi].Start
 		if start < 0 {
 			start = 0
 		}
-		rev = append(rev, Hop{
-			Proc: best.Proc, Resource: best.Resource, Phase: best.Phase,
-			Category: best.Category, Device: best.Device,
-			Start: start, End: maxEnd,
-		})
+		rev = append(rev, step{span: bi, start: start, end: maxEnd})
 		t = start
-		prevProc = best.Proc
+		prevProc = spans[bi].Proc
 	}
 
-	// Reverse into chronological order and coalesce continuations.
-	out := make([]Hop, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		h := rev[i]
-		if n := len(out); n > 0 {
-			p := &out[n-1]
-			if p.End == h.Start && p.Proc == h.Proc && p.Resource == h.Resource &&
-				p.Phase == h.Phase && p.Category == h.Category {
-				p.End = h.End
-				continue
-			}
+	// Chronological order with continuations coalesced in place (the
+	// write index never passes the read index); the Hop list is then
+	// allocated once, at its final size.
+	slices.Reverse(rev)
+	merged := rev[:0]
+	for _, st := range rev {
+		if m := len(merged); m > 0 && continues(merged[m-1].hop(spans), st.hop(spans)) {
+			merged[m-1].end = st.end
+			continue
 		}
-		out = append(out, h)
+		merged = append(merged, st)
+	}
+	out := make([]Hop, len(merged))
+	for k, st := range merged {
+		out[k] = st.hop(spans)
 	}
 	return out
 }
 
+// step is one critical-path hop as the walk finds it: the index of the
+// span that gated the interval [start, end), or -1 for an idle gap.
+type step struct {
+	span       int32
+	start, end float64
+}
+
+// hop builds the step's Hop from its span.
+func (s step) hop(spans []sim.SpanEvent) Hop {
+	if s.span < 0 {
+		return Hop{Category: sim.CatIdle, Start: s.start, End: s.end}
+	}
+	sp := &spans[s.span]
+	return Hop{Proc: sp.Proc, Resource: sp.Resource, Phase: sp.Phase,
+		Category: sp.Category, Device: sp.Device, Start: s.start, End: s.end}
+}
+
+// continues reports whether h continues p's activity (same process,
+// resource, phase and category, touching in time), so the two
+// coalesce into one hop.
+func continues(p, h Hop) bool {
+	return p.End == h.Start && p.Proc == h.Proc && p.Resource == h.Resource &&
+		p.Phase == h.Phase && p.Category == h.Category
+}
+
 // better reports whether candidate a beats b under the tie-break rules
 // (both end at the same instant).
-func better(a, b sim.SpanEvent, prevProc string) bool {
+func better(a, b *sim.SpanEvent, prevProc string) bool {
 	if prevProc != "" && (a.Proc == prevProc) != (b.Proc == prevProc) {
 		return a.Proc == prevProc
 	}

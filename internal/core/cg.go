@@ -90,7 +90,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
+	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
 		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMV(k) }, cfg.Machine.Device)
@@ -285,7 +285,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	}
 	res.CPUBusy, res.FPGABusy = collectBusy(sys)
 	res.LoadSeconds = loadDone
-	summarizeTelemetry(rec, end, &res.Result)
+	summarizeTelemetry(tel, end, &res.Result)
 	return res, nil
 }
 

@@ -115,7 +115,7 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
+	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
 		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
@@ -234,7 +234,7 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 		// reuse the LU predictor scaled by the flop ratio.
 		Prediction: scalePrediction(lp.PredictLU(cfg.N, bf), 0.5, flops),
 	}
-	summarizeTelemetry(rec, end, &res.Result)
+	summarizeTelemetry(tel, end, &res.Result)
 	if cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = matrix.ExtractLower(cr.a).MaxDiff(matrix.ExtractLower(ref))

@@ -111,25 +111,39 @@ func collectCoordinations(sys *machine.System) int64 {
 	return c
 }
 
+// telemetry is where a run's Summary comes from: a span recorder and
+// the mark at which the run began recording into it. The zero value
+// means telemetry is off.
+type telemetry struct {
+	rec  *trace.Recorder
+	from trace.Mark
+}
+
 // setupTelemetry registers any caller-provided observer on the engine
-// and, when summarize is set, also an internal recorder whose digest
-// the run attaches to its Result.Telemetry.
-func setupTelemetry(eng *sim.Engine, summarize bool, obs sim.Observer) *trace.Recorder {
+// and, when summarize is set, picks the recorder whose digest the run
+// attaches to its Result.Telemetry. A caller *trace.Recorder already
+// sees every span, so the run summarizes it from the current mark on
+// (earlier runs' spans stay out of the digest); any other observer
+// gets an internal recorder beside it.
+func setupTelemetry(eng *sim.Engine, summarize bool, obs sim.Observer) telemetry {
 	if obs != nil {
 		eng.Observe(obs)
 	}
 	if !summarize {
-		return nil
+		return telemetry{}
 	}
-	rec := trace.NewRecorder()
-	eng.Observe(rec)
-	return rec
+	rec, ok := obs.(*trace.Recorder)
+	if !ok {
+		rec = trace.NewRecorder()
+		eng.Observe(rec)
+	}
+	return telemetry{rec: rec, from: rec.Mark()}
 }
 
-// summarizeTelemetry fills r.Telemetry from the recorder (no-op when
-// telemetry was not enabled).
-func summarizeTelemetry(rec *trace.Recorder, end float64, r *Result) {
-	if rec != nil {
-		r.Telemetry = rec.Summarize(end)
+// summarizeTelemetry fills r.Telemetry from the run's part of the
+// recorder (no-op when telemetry was not enabled).
+func summarizeTelemetry(t telemetry, end float64, r *Result) {
+	if t.rec != nil {
+		r.Telemetry = t.rec.SummarizeSince(t.from, end)
 	}
 }

@@ -124,7 +124,7 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 		return nil, err
 	}
 	sys.Eng.Trace = cfg.Trace
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
+	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
 		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewFW(k) }, cfg.Machine.Device)
@@ -251,7 +251,7 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	if cfg.Faults != nil {
 		res.Repartitions = fr.repartitions
 	}
-	summarizeTelemetry(rec, end, &res.Result)
+	summarizeTelemetry(tel, end, &res.Result)
 	if cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = fr.d.MaxDiff(ref)

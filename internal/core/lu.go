@@ -13,7 +13,6 @@ import (
 	"codesign/internal/model"
 	"codesign/internal/obs"
 	"codesign/internal/sim"
-	"codesign/internal/trace"
 )
 
 // LUConfig configures a distributed block LU decomposition run
@@ -163,7 +162,7 @@ type luRun struct {
 	boxes []*sim.Mailbox
 	iters []*luIter
 
-	rec *trace.Recorder // telemetry recorder (nil when disabled)
+	tel telemetry // telemetry source (zero when disabled)
 
 	a *matrix.Dense // functional matrix (nil when timing-only)
 
@@ -236,7 +235,7 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 		return nil, err
 	}
 	sys.Eng.Trace = cfg.Trace
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
+	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
 		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
@@ -293,7 +292,7 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 		l = lp.SolveL(bf)
 	}
 
-	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k, rec: rec}
+	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k, tel: tel}
 	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -587,7 +586,7 @@ func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
 		res.Repartitions = lr.repartitions
 		res.DeadNodes = lr.inj.DeadBy(end)
 	}
-	summarizeTelemetry(lr.rec, end, &res.Result)
+	summarizeTelemetry(lr.tel, end, &res.Result)
 	if lr.cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = lr.a.MaxDiff(ref)

@@ -70,7 +70,7 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
+	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
 		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
@@ -201,7 +201,7 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 		Prediction: mp.PredictMM(bf),
 	}
 	_ = tf
-	summarizeTelemetry(rec, end, &res.Result)
+	summarizeTelemetry(tel, end, &res.Result)
 	if cfg.Functional {
 		res.Checked = true
 		res.MaxResidual = c.MaxDiff(ref)

@@ -80,7 +80,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
+	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
 		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
@@ -276,7 +276,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 		Model:      lp,
 		Prediction: predictQR(cfg.N, b, p, bf, lp),
 	}
-	summarizeTelemetry(rec, end, &res.Result)
+	summarizeTelemetry(tel, end, &res.Result)
 	if cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = a.MaxDiff(ref)

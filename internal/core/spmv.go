@@ -116,7 +116,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
+	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
 		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMV(k) }, cfg.Machine.Device)
@@ -322,6 +322,6 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	res.Model = mvp
 	res.Prediction = mvp.PredictSpMV(rf)
 	res.LoadSeconds = loadDone
-	summarizeTelemetry(rec, end, &res.Result)
+	summarizeTelemetry(tel, end, &res.Result)
 	return res, nil
 }

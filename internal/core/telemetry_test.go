@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"codesign/internal/sim"
@@ -194,5 +195,94 @@ func TestRecorderSpansCarryPhases(t *testing.T) {
 	}
 	if !bytesOnWire {
 		t.Error("no network span carried payload bytes")
+	}
+}
+
+// sameBits reports whether a and b are equal field by field, with
+// floats compared by their bit patterns.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
+}
+
+func TestTelemetryRecordsOnceIntoCallerRecorder(t *testing.T) {
+	fw := FWConfig{N: 768, B: 64, PEs: 4, L1: -1, Mode: Hybrid, Telemetry: true}
+	runs := []struct {
+		name string
+		run  func(obs sim.Observer) (*Result, error)
+	}{
+		{"lu", func(obs sim.Observer) (*Result, error) {
+			cfg := smallLU()
+			cfg.Telemetry, cfg.Observer = true, obs
+			r, err := RunLU(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &r.Result, nil
+		}},
+		{"fw", func(obs sim.Observer) (*Result, error) {
+			cfg := fw
+			cfg.Observer = obs
+			r, err := RunFW(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &r.Result, nil
+		}},
+	}
+	for _, tc := range runs {
+		alone, err := tc.run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		withRec, err := tc.run(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(reflect.ValueOf(withRec.Telemetry), reflect.ValueOf(alone.Telemetry)) {
+			t.Fatalf("%s: Summary with a caller recorder differs from the run without one", tc.name)
+		}
+		if n := len(rec.SpansView()); n != alone.Telemetry.Spans || n == 0 {
+			t.Fatalf("%s: caller recorder holds %d spans, Summary.Spans = %d", tc.name, n, alone.Telemetry.Spans)
+		}
+		// The same recorder observing a second run yields that run's
+		// Summary alone, not one over both runs' spans.
+		again, err := tc.run(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(reflect.ValueOf(again.Telemetry), reflect.ValueOf(alone.Telemetry)) {
+			t.Fatalf("%s: Summary from a reused recorder covers more than its own run", tc.name)
+		}
+		if n := len(rec.SpansView()); n != 2*alone.Telemetry.Spans {
+			t.Fatalf("%s: reused recorder holds %d spans, want both runs' %d", tc.name, n, 2*alone.Telemetry.Spans)
+		}
 	}
 }

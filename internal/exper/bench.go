@@ -37,14 +37,17 @@ func headline(idleFaults bool) (*analysis.Baseline, error) {
 	}
 
 	// LU at the paper's size, all three designs. The hybrid run also
-	// contributes its solved partition, telemetry and critical path.
+	// contributes its solved partition, overlap efficiency and critical
+	// path, both read in place from its span recorder. The run builds
+	// no telemetry Summary: ComputeOverlap over the same span stream
+	// and makespan is exactly the Overlap a Summary would carry.
 	rec := trace.NewRecorder()
 	inj, err := newInj()
 	if err != nil {
 		return nil, err
 	}
 	lu, err := core.RunLU(core.LUConfig{N: 30000, B: 3000, BF: -1, L: -1,
-		Mode: core.Hybrid, Telemetry: true, Observer: rec, Faults: inj})
+		Mode: core.Hybrid, Observer: rec, Faults: inj})
 	if err != nil {
 		return nil, err
 	}
@@ -54,8 +57,8 @@ func headline(idleFaults bool) (*analysis.Baseline, error) {
 	b.Set("lu.hybrid.l", float64(lu.L))
 	b.Set("lu.hybrid.iter0_s", lu.IterationSeconds[0])
 	b.Set("lu.hybrid.prediction_ratio", lu.GFLOPS/lu.Prediction.GFLOPS)
-	b.Set("lu.hybrid.overlap_efficiency", lu.Telemetry.Overlap.Efficiency())
-	luPath := analysis.ExtractCriticalPath(rec.Spans(), lu.Seconds)
+	b.Set("lu.hybrid.overlap_efficiency", trace.ComputeOverlap(rec.SpansView(), lu.Seconds).Efficiency())
+	luPath := analysis.ExtractCriticalPath(rec.SpansView(), lu.Seconds)
 	b.Set("lu.hybrid.critical_path_hops", float64(len(luPath)))
 	b.Set("lu.hybrid.critical_path_s", analysis.PathTotal(luPath))
 
@@ -73,12 +76,13 @@ func headline(idleFaults bool) (*analysis.Baseline, error) {
 	}
 
 	// FW at the Section 6.2 throughput-equivalent size, all designs.
-	rec = trace.NewRecorder()
+	// The hybrid run reuses the LU recorder's storage.
+	rec.Reset()
 	if inj, err = newInj(); err != nil {
 		return nil, err
 	}
 	fw, err := core.RunFW(core.FWConfig{N: 18432, B: 256, L1: -1,
-		Mode: core.Hybrid, Telemetry: true, Observer: rec, Faults: inj})
+		Mode: core.Hybrid, Observer: rec, Faults: inj})
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +91,8 @@ func headline(idleFaults bool) (*analysis.Baseline, error) {
 	b.Set("fw.hybrid.l1", float64(fw.L1))
 	b.Set("fw.hybrid.l2", float64(fw.L2))
 	b.Set("fw.hybrid.prediction_ratio", fw.GFLOPS/fw.Prediction.GFLOPS)
-	b.Set("fw.hybrid.overlap_efficiency", fw.Telemetry.Overlap.Efficiency())
-	fwPath := analysis.ExtractCriticalPath(rec.Spans(), fw.Seconds)
+	b.Set("fw.hybrid.overlap_efficiency", trace.ComputeOverlap(rec.SpansView(), fw.Seconds).Efficiency())
+	fwPath := analysis.ExtractCriticalPath(rec.SpansView(), fw.Seconds)
 	b.Set("fw.hybrid.critical_path_hops", float64(len(fwPath)))
 	b.Set("fw.hybrid.critical_path_s", analysis.PathTotal(fwPath))
 

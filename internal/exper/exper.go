@@ -8,6 +8,7 @@ import (
 	"codesign/internal/core"
 	"codesign/internal/cpu"
 	"codesign/internal/machine"
+	"codesign/internal/trace"
 )
 
 // Table is one regenerated result set.
@@ -237,29 +238,30 @@ func Prediction(full bool) (*Table, error) {
 	}
 	// overlapEff reports the telemetry overlap efficiency: the gap to a
 	// 1.0 ratio is exactly the exposed (unhidden) Tmem+Tcomm the paper
-	// attributes to atomic library routines.
-	overlapEff := func(r *core.Result) string {
-		if r.Telemetry == nil {
-			return "-"
-		}
-		return f2(r.Telemetry.Overlap.Efficiency())
+	// attributes to atomic library routines. It digests the run's span
+	// recorder in place, which yields the Overlap a telemetry Summary
+	// would carry without building the rest of one.
+	rec := trace.NewRecorder()
+	overlapEff := func(seconds float64) string {
+		return f2(trace.ComputeOverlap(rec.SpansView(), seconds).Efficiency())
 	}
-	lu, err := core.RunLU(core.LUConfig{N: 30000, B: 3000, BF: -1, L: -1, Mode: core.Hybrid, Telemetry: true})
+	lu, err := core.RunLU(core.LUConfig{N: 30000, B: 3000, BF: -1, L: -1, Mode: core.Hybrid, Observer: rec})
 	if err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, []string{"lu", f2(lu.GFLOPS), f2(lu.Prediction.GFLOPS),
-		f2(lu.GFLOPS / lu.Prediction.GFLOPS), "0.86", overlapEff(&lu.Result)})
+		f2(lu.GFLOPS / lu.Prediction.GFLOPS), "0.86", overlapEff(lu.Seconds)})
 	nFW := 18432
 	if full {
 		nFW = 92160
 	}
-	fw, err := core.RunFW(core.FWConfig{N: nFW, B: 256, L1: -1, Mode: core.Hybrid, Telemetry: true})
+	rec.Reset()
+	fw, err := core.RunFW(core.FWConfig{N: nFW, B: 256, L1: -1, Mode: core.Hybrid, Observer: rec})
 	if err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, []string{"fw", f2(fw.GFLOPS), f2(fw.Prediction.GFLOPS),
-		f2(fw.GFLOPS / fw.Prediction.GFLOPS), "0.96", overlapEff(&fw.Result)})
+		f2(fw.GFLOPS / fw.Prediction.GFLOPS), "0.96", overlapEff(fw.Seconds)})
 	return t, nil
 }
 

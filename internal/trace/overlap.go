@@ -141,7 +141,9 @@ func ComputeOverlap(spans []sim.SpanEvent, makespan float64) Overlap {
 	o := Overlap{Makespan: makespan}
 
 	sp0, ep0 := edgePool.Get().(*[]edge), edgePool.Get().(*[]edge)
-	starts, ends := (*sp0)[:0], (*ep0)[:0]
+	// Size the scratch for every span up front: growing it by append
+	// would copy it about four times over at a large run's span count.
+	starts, ends := slices.Grow((*sp0)[:0], len(spans)), slices.Grow((*ep0)[:0], len(spans))
 	defer func() {
 		*sp0, *ep0 = starts[:0], ends[:0]
 		edgePool.Put(sp0)

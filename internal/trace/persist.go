@@ -145,7 +145,7 @@ func WriteSpans(w io.Writer, meta Meta, spans []sim.SpanEvent) error {
 // WriteSpans persists the recorded spans (see the package-level
 // WriteSpans) without copying them out of the recorder.
 func (r *Recorder) WriteSpans(w io.Writer, meta Meta) error {
-	return WriteSpans(w, meta, r.spans)
+	return WriteSpans(w, meta, r.SpansView())
 }
 
 // ReadSpans reads a JSONL span stream written by WriteSpans. It rejects

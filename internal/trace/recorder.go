@@ -16,15 +16,36 @@ import (
 // field). The recorder keeps everything in memory; simulated runs emit
 // at most a few spans per block operation, so this is cheap at the
 // paper's problem sizes.
+//
+// The span log never copies to grow. spans is its contiguous head;
+// once the head is full, further spans go to overflow chunks that are
+// each allocated once and filled in place (see growSpans). The first
+// reader that needs one slice (SpansView, and through it Summarize and
+// the writers) consolidates head and chunks into a single exactly
+// sized head, so a recording pays for one copy of its log at most, at
+// read time, instead of the repeated regrowth of an append-grown
+// slice. Reset keeps the head's storage, so a reused recorder fills it
+// in place on the next run of the same or a smaller size. Because a
+// reader may consolidate the log, a Recorder is not safe for
+// concurrent use, not even by readers alone.
 type Recorder struct {
-	spans   []sim.SpanEvent
-	events  []Event
-	nEvents int
+	spans    []sim.SpanEvent
+	overflow [][]sim.SpanEvent
+	nOver    int // spans held in overflow
+	events   []Event
+	nEvents  int
 	// KeepEvents controls whether raw (time, proc, action) events are
 	// stored in addition to spans. Spans are always kept; events are
 	// always counted.
 	KeepEvents bool
 }
+
+// minChunk is the smallest span-log chunk: 256 spans of 88 bytes,
+// about 22 KB. Later chunks hold a quarter of the log so far, so the
+// allocated but unfilled tail never exceeds the 25% slack append's
+// large-slice growth leaves, and a log of n spans takes O(log n)
+// chunks.
+const minChunk = 256
 
 // NewRecorder returns a recorder that stores spans only. Set
 // KeepEvents before the run to also capture the raw event stream.
@@ -42,21 +63,64 @@ func (r *Recorder) Event(t float64, proc, action string) {
 func (r *Recorder) EventCount() int { return r.nEvents }
 
 // Span stores one completed typed span (sim.Observer).
-func (r *Recorder) Span(s sim.SpanEvent) { r.spans = append(r.spans, s) }
+func (r *Recorder) Span(s sim.SpanEvent) {
+	if len(r.overflow) == 0 {
+		if len(r.spans) < cap(r.spans) {
+			r.spans = append(r.spans, s)
+			return
+		}
+	} else if c := &r.overflow[len(r.overflow)-1]; len(*c) < cap(*c) {
+		*c = append(*c, s)
+		r.nOver++
+		return
+	}
+	r.growSpans(s)
+}
+
+// growSpans stores s in a fresh chunk: the head while it has no
+// storage, an overflow chunk otherwise. Nothing already recorded moves.
+func (r *Recorder) growSpans(s sim.SpanEvent) {
+	c := make([]sim.SpanEvent, 1, max(minChunk, r.spanCount()/4))
+	c[0] = s
+	if cap(r.spans) == 0 {
+		r.spans = c
+		return
+	}
+	r.overflow = append(r.overflow, c)
+	r.nOver++
+}
+
+// spanCount returns the number of recorded spans.
+func (r *Recorder) spanCount() int { return len(r.spans) + r.nOver }
+
+// appendSpans appends the log to dst in emission order.
+func (r *Recorder) appendSpans(dst []sim.SpanEvent) []sim.SpanEvent {
+	dst = append(dst, r.spans...)
+	for _, c := range r.overflow {
+		dst = append(dst, c...)
+	}
+	return dst
+}
 
 // Spans returns the recorded spans in emission (end-time) order.
 func (r *Recorder) Spans() []sim.SpanEvent {
-	out := make([]sim.SpanEvent, len(r.spans))
-	copy(out, r.spans)
-	return out
+	return r.appendSpans(make([]sim.SpanEvent, 0, r.spanCount()))
 }
 
 // SpansView returns the recorded spans without copying. The slice
 // aliases the recorder's buffer: it is valid until the next Span or
 // Reset call, and callers must not modify or retain it. Hot paths
 // (the design-space sweep digests a span stream per grid point) use it
-// to avoid a per-run copy; everyone else should prefer Spans.
-func (r *Recorder) SpansView() []sim.SpanEvent { return r.spans }
+// to avoid a per-run copy; everyone else should prefer Spans. When the
+// log has overflowed its head, the first call consolidates it into one
+// exactly sized buffer; later calls return that buffer as is.
+func (r *Recorder) SpansView() []sim.SpanEvent {
+	if len(r.overflow) > 0 {
+		r.spans = r.appendSpans(make([]sim.SpanEvent, 0, r.spanCount()))
+		r.overflow, r.nOver = nil, 0
+	}
+	return r.spans
+}
 
 // Events returns the recorded raw events (empty unless KeepEvents).
 func (r *Recorder) Events() []Event {
@@ -65,26 +129,44 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Reset discards everything recorded so far.
+// Reset discards everything recorded so far. The head's storage is
+// kept for reuse; after a SpansView it holds the whole previous log.
 func (r *Recorder) Reset() {
 	r.spans = r.spans[:0]
+	r.overflow, r.nOver = nil, 0
 	r.events = r.events[:0]
 	r.nEvents = 0
 }
+
+// Mark is a position in a recorder's log: the spans and events
+// recorded before it. SummarizeSince digests what follows a mark, so
+// one recorder can observe several runs and still yield each run's
+// own Summary.
+type Mark struct{ spans, events int }
+
+// Mark returns the current end of the log.
+func (r *Recorder) Mark() Mark { return Mark{spans: r.spanCount(), events: r.nEvents} }
 
 // Summarize digests the recorded spans into a Summary: per-process
 // busy/wait, per-resource busy/contention, bytes moved, and the
 // overlap decomposition against the given makespan (pass the engine's
 // final virtual time).
 func (r *Recorder) Summarize(makespan float64) *Summary {
+	return r.SummarizeSince(Mark{}, makespan)
+}
+
+// SummarizeSince is Summarize over the spans and events recorded after
+// m only.
+func (r *Recorder) SummarizeSince(m Mark, makespan float64) *Summary {
+	spans := r.SpansView()[m.spans:]
 	s := &Summary{
 		Makespan: makespan,
-		Spans:    len(r.spans),
-		Events:   r.nEvents,
+		Spans:    len(spans),
+		Events:   r.nEvents - m.events,
 	}
 	procs := map[string]*ProcStats{}
 	ress := map[string]*ResourceStats{}
-	for _, sp := range r.spans {
+	for _, sp := range spans {
 		d := sp.End - sp.Start
 		p := procs[sp.Proc]
 		if p == nil {
@@ -124,7 +206,7 @@ func (r *Recorder) Summarize(makespan float64) *Summary {
 	for _, k := range sortedKeys(ress) {
 		s.Resources = append(s.Resources, *ress[k])
 	}
-	s.Overlap = ComputeOverlap(r.spans, makespan)
+	s.Overlap = ComputeOverlap(spans, makespan)
 	return s
 }
 
@@ -159,15 +241,16 @@ type perfettoEvent struct {
 // and durations in microseconds of virtual time. Output is
 // deterministic: identical runs export identical bytes.
 func (r *Recorder) WritePerfetto(w io.Writer) error {
+	spans := r.SpansView()
 	tids := map[string]int{}
 	var names []string
-	for _, sp := range r.spans {
+	for _, sp := range spans {
 		if _, ok := tids[sp.Proc]; !ok {
 			tids[sp.Proc] = len(names)
 			names = append(names, sp.Proc)
 		}
 	}
-	events := make([]perfettoEvent, 0, len(r.spans)+len(names))
+	events := make([]perfettoEvent, 0, len(spans)+len(names))
 	for i, n := range names {
 		events = append(events, perfettoEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: i,
@@ -175,7 +258,7 @@ func (r *Recorder) WritePerfetto(w io.Writer) error {
 		})
 	}
 	const usec = 1e6
-	for _, sp := range r.spans {
+	for _, sp := range spans {
 		ev := perfettoEvent{
 			Name: sp.Category.String(),
 			Cat:  sp.Category.String(),
@@ -225,7 +308,7 @@ func (r *Recorder) WriteSpansCSV(w io.Writer) error {
 	if err := cw.Write(SpanFieldNames()); err != nil {
 		return err
 	}
-	for _, sp := range r.spans {
+	for _, sp := range r.SpansView() {
 		rec := RecordOf(sp)
 		row := []string{
 			strconv.FormatFloat(rec.Start, 'f', 9, 64),
@@ -249,7 +332,7 @@ func (r *Recorder) WriteSpansCSV(w io.Writer) error {
 // aggregate for tests and ad-hoc inspection.
 func (r *Recorder) ByCategory() map[sim.Category]float64 {
 	out := map[sim.Category]float64{}
-	for _, sp := range r.spans {
+	for _, sp := range r.SpansView() {
 		out[sp.Category] += sp.End - sp.Start
 	}
 	return out
