@@ -17,10 +17,9 @@ import (
 	"os"
 
 	"codesign/internal/cli"
-	"codesign/internal/cpu"
+	"codesign/internal/core"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
-	"codesign/internal/model"
 )
 
 // log is the tool's shared leveled stderr logger.
@@ -113,66 +112,42 @@ func solve(cfg machine.Config, rest []string) error {
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
-	proc := cfg.Processor()
-
-	kMM := fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Device)
-	mm, err := fpga.Place(fpga.NewMatMul(kMM), cfg.Device)
+	// LU's partition is per block, so one block is the smallest
+	// factorization that plans it.
+	pl, err := plan("lu", core.Spec{Machine: cfg, N: *b, B: *b, BF: -1, L: -1})
 	if err != nil {
-		return err
-	}
-	lu := model.LUParams{
-		P: cfg.Nodes, B: *b, K: kMM,
-		Ff:         mm.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         machine.EffectiveBd(cfg.RawFPGADRAMBandwidth, mm.FreqHz),
-		Bn:         cfg.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  int64(cfg.SRAMBanks) * cfg.SRAMBankBytes / 2,
-	}
-	if err := lu.Validate(); err != nil {
 		return fmt.Errorf("LU model: %w", err)
 	}
-	bf, bp := lu.SolvePartition()
-	l := lu.SolveL(bf)
+	lu, sp := pl.LU, pl.Split
 	tlu, ttrsm := lu.PanelTimes()
-	fmt.Printf("LU decomposition on %s (b=%d, k=%d, Ff=%.1f MHz):\n", cfg.Name, *b, kMM, lu.Ff/1e6)
-	fmt.Printf("  Eq.4 partition:   bf=%d rows to FPGA, bp=%d to processor\n", bf, bp)
-	fmt.Printf("  Eq.5 pipeline:    l=%d opMM per panel op (opLU %.2fs, opL/opU %.2fs)\n", l, tlu, ttrsm)
-	fmt.Printf("  coordination:     %.1f handshakes/s\n", lu.CoordinationHz(bf))
+	fmt.Printf("LU decomposition on %s (b=%d, k=%d, Ff=%.1f MHz):\n", cfg.Name, *b, sp.K, lu.Ff/1e6)
+	fmt.Printf("  Eq.4 partition:   bf=%d rows to FPGA, bp=%d to processor\n", sp.BF, sp.BP)
+	fmt.Printf("  Eq.5 pipeline:    l=%d opMM per panel op (opLU %.2fs, opL/opU %.2fs)\n", sp.L, tlu, ttrsm)
+	fmt.Printf("  coordination:     %.1f handshakes/s\n", lu.CoordinationHz(sp.BF))
 
-	kFW := fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewFW(k) }, cfg.Device)
-	if *fwb%kFW != 0 {
-		// Pick the largest PE count dividing the block size.
-		for kFW > 1 && *fwb%kFW != 0 {
-			kFW--
-		}
-	}
-	fwP, err := fpga.Place(fpga.NewFW(kFW), cfg.Device)
-	if err != nil {
-		return err
-	}
-	fw := model.FWParams{
-		P: cfg.Nodes, B: *fwb, K: kFW,
-		Ff:     fwP.FreqHz,
-		FWRate: proc.Rate(cpu.FWKernel),
-		Bd:     machine.EffectiveBd(cfg.RawFPGADRAMBandwidth, fwP.FreqHz),
-		Bn:     cfg.Fabric.LinkBandwidth,
-		Bw:     machine.WordBytes,
-	}
-	if err := fw.Validate(); err != nil {
-		return fmt.Errorf("FW model: %w", err)
-	}
 	nFW := *n
 	if nFW == 0 {
 		nFW = 12 * *fwb * cfg.Nodes // 12 ops per phase, as in the paper
 	}
-	l1, l2 := fw.SolveSplit(nFW)
-	fmt.Printf("Floyd-Warshall on %s (b=%d, k=%d, Ff=%.1f MHz, n=%d):\n", cfg.Name, *fwb, kFW, fw.Ff/1e6, nFW)
-	fmt.Printf("  Eq.6 split:       l1=%d ops to processor, l2=%d to FPGA per phase\n", l1, l2)
-	fmt.Printf("  coordination:     %.2f handshakes/s\n", fw.CoordinationHz(max(l2, 1)))
+	// The FW array shrinks to the largest PE count dividing the block.
+	pl, err = plan("fw", core.Spec{Machine: cfg, N: nFW, B: *fwb, L1: -1})
+	if err != nil {
+		return fmt.Errorf("FW model: %w", err)
+	}
+	fw, sp := pl.FW, pl.Split
+	fmt.Printf("Floyd-Warshall on %s (b=%d, k=%d, Ff=%.1f MHz, n=%d):\n", cfg.Name, *fwb, sp.K, fw.Ff/1e6, nFW)
+	fmt.Printf("  Eq.6 split:       l1=%d ops to processor, l2=%d to FPGA per phase\n", sp.L1, sp.L2)
+	fmt.Printf("  coordination:     %.2f handshakes/s\n", fw.CoordinationHz(max(sp.L2, 1)))
 	return nil
+}
+
+// plan resolves the named app's hybrid design model on the machine.
+func plan(app string, s core.Spec) (core.Plan, error) {
+	a, err := core.LookupApp(app)
+	if err != nil {
+		return core.Plan{}, err
+	}
+	return a.Plan(s, nil)
 }
 
 func max(a, b int) int {

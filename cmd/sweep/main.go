@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"codesign/internal/cli"
+	"codesign/internal/core"
 	"codesign/internal/obs"
 	"codesign/internal/sim"
 	"codesign/internal/sweep"
@@ -41,7 +42,7 @@ import (
 func main() {
 	var o options
 	flag.StringVar(&o.GridFile, "grid", "", "JSON grid description `file` (\"-\" = stdin); overrides the axis flags")
-	flag.StringVar(&o.Apps, "apps", "lu", "comma list of applications: lu, fw, mm, spmv")
+	flag.StringVar(&o.Apps, "apps", "lu", "comma list of applications: "+strings.Join(core.AppNames(), ", ")+" (cg has no closed-form model: sim only)")
 	flag.StringVar(&o.Machines, "machines", "xd1", "comma list of machine presets: xd1, xt3, src6, rasc")
 	flag.StringVar(&o.Modes, "modes", "hybrid", "comma list of designs: hybrid, processor-only, fpga-only")
 	flag.StringVar(&o.Nodes, "nodes", "0", "comma list of node counts (0 = preset default)")
@@ -49,8 +50,8 @@ func main() {
 	flag.StringVar(&o.Density, "density", "0", "comma list of spmv operator densities in [0,1] (0 = dense operator)")
 	flag.StringVar(&o.B, "b", "0", "comma list of block sizes (0 = app paper size)")
 	flag.StringVar(&o.PEs, "pes", "0", "comma list of PE-array sizes (0 = largest that fits)")
-	flag.StringVar(&o.BF, "bf", "-1", "comma list of LU/MM FPGA row shares (-1 = solve Eq. 4 / Eq. 1)")
-	flag.StringVar(&o.L, "l", "-1", "comma list of LU pipeline depths / FW l1 (-1 = solve Eq. 5 / Eq. 6)")
+	flag.StringVar(&o.BF, "bf", "-1", "comma list of FPGA row shares (-1 = solve Eq. 4 / Eq. 1)")
+	flag.StringVar(&o.L, "l", "-1", "comma list of lu/chol pipeline depths / fw l1 (-1 = solve Eq. 5 / Eq. 6)")
 	flag.StringVar(&o.Method, "method", sweep.MethodModel, "evaluator: model (closed-form, fast) or sim (full simulation)")
 	flag.BoolVar(&o.Screen, "screen", false, "two-stage sweep: model-screen the full grid, then evaluate only Pareto candidates with -method")
 	flag.Float64Var(&o.RefineMargin, "refine-margin", 0, "screening dominance margin (0 = default 0.1); larger keeps more candidates")

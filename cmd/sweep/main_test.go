@@ -180,8 +180,39 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(options{Apps: "lu", PEs: "four"}, &bytes.Buffer{}); err == nil {
 		t.Error("bad -pes accepted")
 	}
-	if err := run(options{Apps: "qr", PEs: "0", Method: "model"}, &bytes.Buffer{}); err == nil {
+	if err := run(options{Apps: "cholesky", PEs: "0", Method: "model"}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown app accepted")
+	}
+}
+
+// TestRunExtensionApps sweeps the apps beyond the paper's through the
+// CLI: qr under the closed-form model and cg, which has none, under
+// simulation.
+func TestRunExtensionApps(t *testing.T) {
+	for _, o := range []options{
+		{Apps: "qr", N: "120", B: "40", PEs: "4", Method: "model"},
+		{Apps: "cg", N: "64", PEs: "4", Method: "sim"},
+	} {
+		var buf bytes.Buffer
+		o.JSONOut, o.Quiet = "-", true
+		if err := run(o, &buf); err != nil {
+			t.Fatalf("%s: %v", o.Apps, err)
+		}
+		var out struct {
+			Results []struct {
+				Outcome struct {
+					OK     bool    `json:"ok"`
+					Err    string  `json:"err"`
+					GFLOPS float64 `json:"gflops"`
+				} `json:"outcome"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("%s: %v", o.Apps, err)
+		}
+		if len(out.Results) != 1 || !out.Results[0].Outcome.OK || out.Results[0].Outcome.GFLOPS <= 0 {
+			t.Errorf("%s: results %+v, want one feasible point", o.Apps, out.Results)
+		}
 	}
 }
 

@@ -100,18 +100,23 @@ type AppRun struct {
 }
 
 // App is one entry of the application table: every simulated workload
-// with the mapping from a Spec to its Run* call.
+// with its default sizes, its plan stage and the mapping from a Spec to
+// its Run* call.
 type App struct {
 	// Name is the app's CLI and sweep name.
 	Name string
 	// Faults reports whether the app accepts a fault injector.
 	Faults bool
-	run    func(Spec) (*AppRun, error)
+	// N and B are the app's default problem and block sizes (the
+	// paper's for lu and fw); B is 0 for apps without block structure.
+	N, B int
+	plan *planner
+	run  func(Spec) (*AppRun, error)
 }
 
 // apps is the application table, in report order.
 var apps = []App{
-	{Name: "lu", Faults: true, run: func(s Spec) (*AppRun, error) {
+	{Name: "lu", Faults: true, N: 30000, B: 3000, plan: &luPlan, run: func(s Spec) (*AppRun, error) {
 		r, err := RunLU(LUConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
 			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Trace: s.Trace,
 			Observer: s.Observer, Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics})
@@ -128,7 +133,7 @@ var apps = []App{
 				predictionLine(&r.Result, r.Prediction),
 			}}, nil
 	}},
-	{Name: "fw", Faults: true, run: func(s Spec) (*AppRun, error) {
+	{Name: "fw", Faults: true, N: 18432, B: 256, plan: &fwPlan, run: func(s Spec) (*AppRun, error) {
 		r, err := RunFW(FWConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, L1: s.L1,
 			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Trace: s.Trace,
 			Observer: s.Observer, Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics})
@@ -145,7 +150,7 @@ var apps = []App{
 				predictionLine(&r.Result, r.Prediction),
 			}}, nil
 	}},
-	{Name: "mm", run: func(s Spec) (*AppRun, error) {
+	{Name: "mm", N: 6144, plan: &mmPlan, run: func(s Spec) (*AppRun, error) {
 		r, err := RunMM(MMConfig{Machine: s.Machine, N: s.N, PEs: s.PEs, BF: s.BF,
 			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed,
 			Observer: s.Observer, Telemetry: s.Telemetry})
@@ -162,7 +167,7 @@ var apps = []App{
 				predictionLine(&r.Result, r.Prediction),
 			}}, nil
 	}},
-	{Name: "spmv", Faults: true, run: func(s Spec) (*AppRun, error) {
+	{Name: "spmv", Faults: true, N: 2048, plan: &spmvPlan, run: func(s Spec) (*AppRun, error) {
 		runner := RunSpMV
 		if s.RHS > 1 {
 			runner = RunSpMM
@@ -193,7 +198,7 @@ var apps = []App{
 				predictionLine(&r.Result, r.Prediction),
 			}}, nil
 	}},
-	{Name: "chol", run: func(s Spec) (*AppRun, error) {
+	{Name: "chol", N: 30000, B: 3000, plan: &cholPlan, run: func(s Spec) (*AppRun, error) {
 		r, err := RunCholesky(CholConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
 			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed,
 			Observer: s.Observer, Telemetry: s.Telemetry})
@@ -210,7 +215,7 @@ var apps = []App{
 				predictionLine(&r.Result, r.Prediction),
 			}}, nil
 	}},
-	{Name: "qr", run: func(s Spec) (*AppRun, error) {
+	{Name: "qr", N: 30000, B: 3000, plan: &qrPlan, run: func(s Spec) (*AppRun, error) {
 		r, err := RunQR(QRConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF,
 			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed,
 			Observer: s.Observer, Telemetry: s.Telemetry})
@@ -227,7 +232,7 @@ var apps = []App{
 				predictionLine(&r.Result, r.Prediction),
 			}}, nil
 	}},
-	{Name: "cg", run: func(s Spec) (*AppRun, error) {
+	{Name: "cg", N: 1024, plan: &cgPlan, run: func(s Spec) (*AppRun, error) {
 		r, err := RunCG(CGConfig{Machine: s.Machine, N: s.N, PEs: s.PEs, RowsFPGA: s.BF,
 			Mode: s.Mode, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry})
 		if err != nil {
@@ -287,6 +292,21 @@ func (a App) CheckFaults() error {
 		return nil
 	}
 	return fmt.Errorf("fault injection supports %s, not %q", strings.Join(FaultApps(), ", "), a.Name)
+}
+
+// Plan resolves the app's design model at s: the PE count, placement,
+// model parameters, partition and Section 4.5 prediction, solving
+// through m (nil solves directly). Sentinel sizes are not defaulted;
+// callers fill N and B from the table entry first.
+func (a App) Plan(s Spec, m Memo) (Plan, error) { return a.plan.plan(s, m) }
+
+// CheckModel returns nil when the app has a closed-form model and
+// otherwise an error saying why it has none.
+func (a App) CheckModel() error {
+	if a.plan.model != nil {
+		return nil
+	}
+	return fmt.Errorf("%s has no closed-form model: %s", a.Name, a.plan.noModel)
 }
 
 // Run simulates the app as configured by s. A non-nil s.Faults is an

@@ -74,12 +74,11 @@ type CGRunResult struct {
 // simulated node and verifies the iterates against the sequential
 // reference.
 func RunCG(cfg CGConfig) (*CGRunResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
+	pl, err := cgPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, BF: cfg.RowsFPGA, Mode: cfg.Mode})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("core: cg needs n > 0")
-	}
+	cfg.Machine = pl.Spec.Machine
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-10
 	}
@@ -91,25 +90,22 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		return nil, err
 	}
 	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMV(k) }, cfg.Machine.Device)
-	}
-	design := fpga.NewMV(k)
-	if err := sys.InstallDesign(design); err != nil {
+	k := pl.Split.K
+	if err := sys.InstallDesign(fpga.NewMV(k)); err != nil {
 		return nil, err
 	}
 	node := sys.Nodes[0]
 	accel := node.Accel
-	proc := node.Proc
 
 	// Build the operator and the reference solve.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var op matrix.MulVec
 	var rowWords func(lo, hi int) int // matrix words in rows [lo,hi)
+	nnz := cfg.N * cfg.N
 	if cfg.Density > 0 {
 		sp := matrix.RandomSparseSPD(cfg.N, cfg.Density, rng)
 		op = sp
+		nnz = sp.NNZ()
 		// CSR streams value+column index per non-zero (~1.5 words,
 		// rounded up so the SRAM clamp and DMA byte counts never
 		// under-charge odd nonzero counts).
@@ -129,51 +125,18 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	// resident arrangement: the FPGA's matrix share is loaded into SRAM
 	// once over Bd, so the per-apply balance has no Tmem term and the
 	// FPGA word rate is the slower of the MAC array and the SRAM port.
-	sramBW := cfg.Machine.SRAMBandwidth
-	if sramBW <= 0 {
-		sramBW = 9.6e9
-	}
-	totalWords := rowWords(0, cfg.N)
-	mvRate := proc.Rate(cpu.DGEMV)
-	if cfg.Density > 0 {
-		mvRate = proc.Rate(cpu.SpMV)
-	}
-	mvp := model.SpMVParams{
-		N: cfg.N, K: k, Words: totalWords,
-		Ff:        accel.Placed.FreqHz,
-		MVRate:    mvRate,
-		VecTime:   proc.Time(cpu.VectorOp, 10*float64(cfg.N)),
-		Bd:        machine.EffectiveBd(cfg.Machine.RawFPGADRAMBandwidth, accel.Placed.FreqHz),
-		Bs:        sramBW,
-		Bw:        machine.WordBytes,
-		SRAMBytes: sys.Nodes[0].SRAM.TotalBytes(),
-		Resident:  true,
-		Applies:   cfg.MaxIter,
-	}
+	mvp := mvParams(&pl, mvLoad{words: rowWords(0, cfg.N), nnz: nnz, sparse: cfg.Density > 0,
+		applies: cfg.MaxIter, resident: true, vecFlops: 10 * float64(cfg.N)})
 	fpgaPerWord := mvp.FPGAPerWord()
 	cpuPerWord := mvp.CPUPerWord()
-
-	rf := cfg.RowsFPGA
-	switch cfg.Mode {
-	case ProcessorOnly:
-		rf = 0
-	case FPGAOnly:
-		rf = cfg.N
-	default:
-		if rf < 0 {
-			rf, _ = mvp.SolvePartition()
-		}
+	rf, err := share(cfg.Mode, "rowsFPGA", cfg.RowsFPGA, cfg.N, false, func() int {
+		rf, _ := mvp.SolvePartition()
+		return rf
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if rf < 0 || rf > cfg.N {
-		return nil, fmt.Errorf("core: rowsFPGA=%d out of [0,%d]", rf, cfg.N)
-	}
-	// SRAM capacity clamp on the resident share.
-	capWords := int(float64(sys.Nodes[0].SRAM.TotalBytes()) / machine.WordBytes)
-	if rf > 0 && rowWords(0, rf) > capWords {
-		for rf > 0 && rowWords(0, rf) > capWords {
-			rf--
-		}
-	}
+	rf = clampResident(rf, sramWords(cfg.Machine), rowWords)
 
 	fpgaWords := rowWords(0, rf)
 	fpgaApply := float64(fpgaWords) * fpgaPerWord
@@ -270,11 +233,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 			res.Iterations, res.Converged, ref.Iterations, ref.Converged)
 	}
 
-	applyFlops := 2 * float64(totalWords)
-	if cfg.Density > 0 {
-		applyFlops = 2 * float64(op.(*matrix.CSR).NNZ())
-	}
-	flops := float64(res.Iterations) * (applyFlops + 10*float64(cfg.N))
+	flops := float64(res.Iterations) * (2*float64(nnz) + 10*float64(cfg.N))
 	res.Result = Result{
 		App: "cg", Mode: cfg.Mode, N: cfg.N, B: 0,
 		Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,

@@ -101,71 +101,27 @@ func (cr *cholRun) computeNodes(t int) []int {
 
 // RunCholesky simulates the distributed factorization.
 func RunCholesky(cfg CholConfig) (*CholResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
+	pl, err := cholPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L, Mode: cfg.Mode})
+	if err != nil {
+		return nil, err
 	}
+	cfg.Machine = pl.Spec.Machine
 	p := cfg.Machine.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: cholesky design needs p >= 2, got %d", p)
-	}
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%cfg.B != 0 || cfg.B%(p-1) != 0 {
-		return nil, fmt.Errorf("core: bad geometry n=%d b=%d (b must divide n and be a multiple of p-1)", cfg.N, cfg.B)
-	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
+	k := pl.Split.K
 	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
 		return nil, err
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-
-	lp := model.LUParams{
-		P: p, B: cfg.B, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bn:         cfg.Machine.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
-	if err := lp.Validate(); err != nil {
-		return nil, err
-	}
-	bf := cfg.BF
-	switch cfg.Mode {
-	case ProcessorOnly:
-		bf = 0
-	case FPGAOnly:
-		bf = cfg.B
-	default:
-		if bf < 0 {
-			bf, _ = lp.SolvePartition()
-		}
-	}
-	if bf < 0 || bf > cfg.B {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, cfg.B)
-	}
-	l := cfg.L
-	if l < 0 {
-		l = lp.SolveL(bf)
-	}
+	lp, bf, l := pl.LU, pl.Split.BF, pl.Split.L
 
 	cr := &cholRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, l: l, stripes: cfg.B / k}
 	// Per-job charges are the LU opMM charges; SYRK (diagonal) jobs
 	// halve the compute terms at run time.
-	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: cfg.B, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: proc.Rate(cpu.DGEMM), bf: bf, stripes: cr.stripes}
+	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: cfg.B, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: sys.Nodes[0].Proc.Rate(cpu.DGEMM), bf: bf, stripes: cr.stripes}
 	cr.charge = lu.chargeForBF(bf)
 	_, _, _, tcomm := lp.StripeTimes(bf)
 	cr.sendTime = float64(cr.stripes) * tcomm
@@ -229,10 +185,8 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
 		},
 		BF: bf, BP: cfg.B - bf, L: l, K: k,
-		Model: lp,
-		// Cholesky does half of LU's trailing work per iteration pair;
-		// reuse the LU predictor scaled by the flop ratio.
-		Prediction: scalePrediction(lp.PredictLU(cfg.N, bf), 0.5, flops),
+		Model:      lp,
+		Prediction: pl.Prediction,
 	}
 	summarizeTelemetry(tel, end, &res.Result)
 	if cfg.Functional && ref != nil {

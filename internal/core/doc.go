@@ -10,6 +10,12 @@
 // (the pure Equation 1 case), Cholesky, Householder QR and conjugate
 // gradient.
 //
+// Each app's entry in the app table (app.go) has a plan stage
+// (plan.go): the PE count, placement, model parameters, partition and
+// Section 4.5 prediction, resolved once. Every Run* simulates its plan,
+// and the sweep and serve layers read their closed-form model path
+// from the same plan.
+//
 // Every run is a discrete-event simulation of the full distributed
 // schedule: panel factorizations, stripe broadcasts, DRAM streaming,
 // FPGA jobs, result scatters and subtractions all occur as events whose

@@ -112,27 +112,19 @@ func (fr *fwRun) owner(c int) int { return fr.cols.Owner(c) }
 // design model, simulates the distributed computation and returns the
 // measured results.
 func RunFW(cfg FWConfig) (*FWResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
+	pl, err := fwPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, L1: cfg.L1, Mode: cfg.Mode})
+	if err != nil {
+		return nil, err
 	}
+	cfg.Machine = pl.Spec.Machine
 	p := cfg.Machine.Nodes
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%(cfg.B*p) != 0 {
-		return nil, fmt.Errorf("core: n=%d must be a multiple of b·p=%d", cfg.N, cfg.B*p)
-	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	sys.Eng.Trace = cfg.Trace
 	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewFW(k) }, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
-	design := fpga.NewFW(k)
+	design := fpga.NewFW(pl.Split.K)
 	if err := sys.InstallDesign(design); err != nil {
 		return nil, err
 	}
@@ -147,23 +139,9 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 			return nil, err
 		}
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
+	fp := pl.FW
 
-	fp := model.FWParams{
-		P: p, B: cfg.B, K: k,
-		Ff:        accel.Placed.FreqHz,
-		FWRate:    proc.Rate(cpu.FWKernel),
-		Bd:        accel.DRAM.BandwidthBytes,
-		Bn:        cfg.Machine.Fabric.LinkBandwidth,
-		Bw:        machine.WordBytes,
-		SRAMBytes: sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
-	if err := fp.Validate(); err != nil {
-		return nil, err
-	}
-
-	fr := &fwRun{cfg: cfg, sys: sys, fp: fp, nb: cfg.N / cfg.B}
+	fr := &fwRun{cfg: cfg, sys: sys, fp: fp, nb: cfg.N / cfg.B, l1: pl.Split.L1, l2: pl.Split.L2}
 	if cfg.Faults != nil {
 		fr.tracker = newFaultTracker(cfg.Faults)
 	}
@@ -174,23 +152,6 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	fr.colsPer = fr.cols.PerNode()
 	fr.tp, fr.tf, fr.tmem, fr.tcomm = fp.BlockTimes()
 	fr.blockCycles = design.Cycles(cfg.B)
-
-	total := fr.colsPer // ops per node per phase = n/(b·p)
-	switch cfg.Mode {
-	case ProcessorOnly:
-		fr.l1, fr.l2 = total, 0
-	case FPGAOnly:
-		fr.l1, fr.l2 = 0, total
-	default:
-		if cfg.L1 >= 0 {
-			if cfg.L1 > total {
-				return nil, fmt.Errorf("core: l1=%d exceeds ops per phase %d", cfg.L1, total)
-			}
-			fr.l1, fr.l2 = cfg.L1, total-cfg.L1
-		} else {
-			fr.l1, fr.l2 = fp.SolveSplit(cfg.N)
-		}
-	}
 
 	var ref *matrix.Dense
 	if cfg.Functional {
@@ -239,7 +200,7 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 			Coordinations: collectCoordinations(sys),
 			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
 		},
-		L1: fr.l1, L2: fr.l2, K: k,
+		L1: fr.l1, L2: fr.l2, K: pl.Split.K,
 		Model:      fp,
 		Prediction: fp.PredictFW(cfg.N, fr.l1, fr.l2),
 	}

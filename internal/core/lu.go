@@ -216,33 +216,19 @@ func (lr *luRun) computeNodes(it *luIter) []int {
 // model, simulates the full distributed factorization and returns the
 // measured results.
 func RunLU(cfg LUConfig) (*LUResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
+	pl, err := luPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L, Mode: cfg.Mode})
+	if err != nil {
+		return nil, err
 	}
+	cfg.Machine = pl.Spec.Machine
 	p := cfg.Machine.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: LU design needs p >= 2, got %d", p)
-	}
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%cfg.B != 0 {
-		return nil, fmt.Errorf("core: block size %d must divide n=%d", cfg.B, cfg.N)
-	}
-	if cfg.B%(p-1) != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of p-1=%d", cfg.B, p-1)
-	}
-
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	sys.Eng.Trace = cfg.Trace
 	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
+	k := pl.Split.K
 	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
 		return nil, err
 	}
@@ -254,50 +240,14 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 			return nil, err
 		}
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-
-	lp := model.LUParams{
-		P: p, B: cfg.B, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bn:         cfg.Machine.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
-	if err := lp.Validate(); err != nil {
-		return nil, err
-	}
-
-	// Resolve the partition.
-	bf := cfg.BF
-	switch cfg.Mode {
-	case ProcessorOnly:
-		bf = 0
-	case FPGAOnly:
-		bf = cfg.B
-	default:
-		if bf < 0 {
-			bf, _ = lp.SolvePartition()
-		}
-	}
-	if bf < 0 || bf > cfg.B {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, cfg.B)
-	}
-	l := cfg.L
-	if l < 0 {
-		l = lp.SolveL(bf)
-	}
+	lp, bf, l := pl.LU, pl.Split.BF, pl.Split.L
 
 	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k, tel: tel}
 	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	lr.gemmRate = proc.Rate(cpu.DGEMM)
+	lr.gemmRate = sys.Nodes[0].Proc.Rate(cpu.DGEMM)
 	lr.lpLive = lp
 	if cfg.Faults != nil {
 		lr.inj = cfg.Faults

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"codesign/internal/cpu"
 	"codesign/internal/fault"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
@@ -62,22 +61,18 @@ type MMResult struct {
 
 // RunMM builds the machine and simulates the stripe-pipelined multiply.
 func RunMM(cfg MMConfig) (*MMResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
+	pl, err := mmPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, BF: cfg.BF, Mode: cfg.Mode})
+	if err != nil {
+		return nil, err
 	}
+	cfg.Machine = pl.Spec.Machine
 	p := cfg.Machine.Nodes
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
-	}
-	if cfg.N <= 0 || cfg.N%k != 0 || cfg.N%p != 0 {
-		return nil, fmt.Errorf("core: n=%d must be a positive multiple of k=%d and p=%d", cfg.N, k, p)
-	}
+	k := pl.Split.K
 	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
 		return nil, err
 	}
@@ -92,36 +87,9 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 			return nil, err
 		}
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
+	mp, bf := pl.MM, pl.Split.BF
 
-	mp := model.MMParams{
-		P: p, N: cfg.N, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
-	if err := mp.Validate(); err != nil {
-		return nil, err
-	}
-	bf := cfg.BF
-	switch cfg.Mode {
-	case ProcessorOnly:
-		bf = 0
-	case FPGAOnly:
-		bf = cfg.N
-	default:
-		if bf < 0 {
-			bf, _ = mp.SolvePartition()
-		}
-	}
-	if bf < 0 || bf > cfg.N {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, cfg.N)
-	}
-
-	tf, tp, tmem := mp.StripeTimes(bf)
+	_, tp, tmem := mp.StripeTimes(bf)
 	stripes := cfg.N / k
 	w := mp.Width()
 	fpgaStripeCycles := float64(bf) * float64(w)
@@ -198,9 +166,8 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 		},
 		BF: bf, BP: cfg.N - bf, K: k,
 		Model:      mp,
-		Prediction: mp.PredictMM(bf),
+		Prediction: pl.Prediction,
 	}
-	_ = tf
 	summarizeTelemetry(tel, end, &res.Result)
 	if cfg.Functional {
 		res.Checked = true

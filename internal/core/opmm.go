@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"codesign/internal/cpu"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
-	"codesign/internal/model"
 	"codesign/internal/sim"
 )
 
@@ -28,43 +26,24 @@ type OpMMResult struct {
 // pairs in turn; every compute node unpacks the stripe, streams the
 // FPGA's operands to it, runs its software share, and the FPGA array
 // consumes stripes from a double-buffered queue. Pipelining across
-// stripes arises naturally from the resource model.
+// stripes arises naturally from the resource model. A negative bf
+// solves Equation (4), as LUConfig.BF does.
 func RunOpMM(mc machine.Config, b, pes, bf int) (*OpMMResult, error) {
-	if mc.Nodes == 0 {
-		mc = machine.XD1()
+	// One block is LU's opMM: plan it as a one-block factorization.
+	pl, err := luPlan.run(Spec{Machine: mc, N: b, B: b, PEs: pes, BF: bf, Mode: Hybrid})
+	if err != nil {
+		return nil, err
 	}
+	mc = pl.Spec.Machine
 	p := mc.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: opMM needs p >= 2")
-	}
 	sys, err := machine.New(mc)
 	if err != nil {
 		return nil, err
 	}
-	k := pes
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, mc.Device)
-	}
-	if b%k != 0 || b%(p-1) != 0 {
-		return nil, fmt.Errorf("core: b=%d must be a multiple of k=%d and p-1=%d", b, k, p-1)
-	}
-	if bf < 0 || bf > b {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, b)
-	}
+	k, lp := pl.Split.K, pl.LU
+	bf = pl.Split.BF
 	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
 		return nil, err
-	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-	lp := model.LUParams{
-		P: p, B: b, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bn:         mc.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
 	}
 	tf, tp, tmem, tcomm := lp.StripeTimes(bf)
 	stripes := b / k

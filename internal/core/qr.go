@@ -63,65 +63,22 @@ type qrBcast struct{ t int }
 
 // RunQR simulates the distributed factorization.
 func RunQR(cfg QRConfig) (*QRResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
+	pl, err := qrPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, Mode: cfg.Mode})
+	if err != nil {
+		return nil, err
 	}
+	cfg.Machine = pl.Spec.Machine
 	p := cfg.Machine.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: QR design needs p >= 2, got %d", p)
-	}
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%cfg.B != 0 {
-		return nil, fmt.Errorf("core: block size %d must divide n=%d", cfg.B, cfg.N)
-	}
-	if cfg.B%(p-1) != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of p-1=%d (stripe split)", cfg.B, p-1)
-	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
+	k := pl.Split.K
 	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
 		return nil, err
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-
-	lp := model.LUParams{
-		P: p, B: cfg.B, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bn:         cfg.Machine.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
-	if err := lp.Validate(); err != nil {
-		return nil, err
-	}
-	bf := cfg.BF
-	switch cfg.Mode {
-	case ProcessorOnly:
-		bf = 0
-	case FPGAOnly:
-		bf = cfg.B
-	default:
-		if bf < 0 {
-			bf, _ = lp.SolvePartition()
-		}
-	}
-	if bf < 0 || bf > cfg.B {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, cfg.B)
-	}
+	lp, bf := pl.LU, pl.Split.BF
 
 	nb := cfg.N / cfg.B
 	b := cfg.B
@@ -130,7 +87,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 	// trailing-column job is collective like opMM: each of the p-1
 	// compute nodes applies the panel to its b/(p-1) column slice,
 	// 4·rows·b²/(p-1) flops — the LU charge scaled by 2·rows/b.
-	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: b, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: proc.Rate(cpu.DGEMM), bf: bf, stripes: b / k}
+	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: b, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: sys.Nodes[0].Proc.Rate(cpu.DGEMM), bf: bf, stripes: b / k}
 	baseCharge := lu.chargeForBF(bf)
 	chargeFor := func(rows int) jobCharge {
 		s := 2 * float64(rows) / float64(b)
@@ -274,7 +231,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 		},
 		BF: bf, BP: b - bf, K: k,
 		Model:      lp,
-		Prediction: predictQR(cfg.N, b, p, bf, lp),
+		Prediction: pl.Prediction,
 	}
 	summarizeTelemetry(tel, end, &res.Result)
 	if cfg.Functional && ref != nil {

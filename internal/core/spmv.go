@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"codesign/internal/cpu"
 	"codesign/internal/fault"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
@@ -103,24 +102,18 @@ func RunSpMM(cfg SpMVConfig) (*SpMVResult, error) {
 }
 
 func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
+	pl, err := spmvPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, Density: cfg.Density, RHS: applies,
+		PEs: cfg.PEs, BF: cfg.RowsFPGA, Mode: cfg.Mode})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("core: spmv needs n > 0")
-	}
-	if cfg.Density < 0 || cfg.Density > 1 {
-		return nil, fmt.Errorf("core: density %g out of [0,1]", cfg.Density)
-	}
+	cfg.Machine = pl.Spec.Machine
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMV(k) }, cfg.Machine.Device)
-	}
+	k := pl.Split.K
 	if err := sys.InstallDesign(fpga.NewMV(k)); err != nil {
 		return nil, err
 	}
@@ -134,9 +127,10 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	}
 	node := sys.Nodes[0]
 	accel := node.Accel
-	proc := node.Proc
+	mvp, rf := pl.MV, pl.Split.BF
+	resident := mvp.Resident
 
-	// Build the operator.
+	// Build the operator the plan priced.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var op matrix.MulVec
 	var rowWords func(lo, hi int) int
@@ -153,54 +147,10 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		rowWords = func(lo, hi int) int { return (hi - lo) * cfg.N }
 	}
 	totalWords := rowWords(0, cfg.N)
-	capWords := int(float64(node.SRAM.TotalBytes()) / machine.WordBytes)
-	resident := applies > 1 && totalWords <= capWords
-
-	sramBW := cfg.Machine.SRAMBandwidth
-	if sramBW <= 0 {
-		sramBW = 9.6e9
+	if totalWords != mvp.Words {
+		return nil, fmt.Errorf("core: spmv operator streams %d words, its plan priced %d", totalWords, mvp.Words)
 	}
-	mvRate := proc.Rate(cpu.DGEMV)
-	if cfg.Density > 0 {
-		mvRate = proc.Rate(cpu.SpMV)
-	}
-	flops := float64(applies) * 2 * float64(nnz)
-	mvp := model.SpMVParams{
-		N: cfg.N, K: k, Words: totalWords,
-		Ff:        accel.Placed.FreqHz,
-		MVRate:    mvRate,
-		Bd:        accel.DRAM.BandwidthBytes,
-		Bs:        sramBW,
-		Bw:        machine.WordBytes,
-		SRAMBytes: node.SRAM.TotalBytes(),
-		Resident:  resident,
-		Applies:   applies,
-		Flops:     flops,
-	}
-	if err := mvp.Validate(); err != nil {
-		return nil, err
-	}
-
-	rf := cfg.RowsFPGA
-	switch cfg.Mode {
-	case ProcessorOnly:
-		rf = 0
-	case FPGAOnly:
-		rf = cfg.N
-	default:
-		if rf < 0 {
-			rf, _ = mvp.SolvePartition()
-		}
-	}
-	if rf < 0 || rf > cfg.N {
-		return nil, fmt.Errorf("core: rowsFPGA=%d out of [0,%d]", rf, cfg.N)
-	}
-	if resident {
-		// SRAM capacity clamp on the resident share, exact per row.
-		for rf > 0 && rowWords(0, rf) > capWords {
-			rf--
-		}
-	}
+	flops := mvp.Flops
 
 	fpgaWords := rowWords(0, rf)
 	fpgaPerWord := mvp.FPGAPerWord()
@@ -320,7 +270,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	}
 	res.CPUBusy, res.FPGABusy = collectBusy(sys)
 	res.Model = mvp
-	res.Prediction = mvp.PredictSpMV(rf)
+	res.Prediction = pl.Prediction
 	res.LoadSeconds = loadDone
 	summarizeTelemetry(tel, end, &res.Result)
 	return res, nil

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"strings"
 
 	"codesign/internal/core"
 	"codesign/internal/fault"
@@ -49,19 +50,27 @@ func degradedScenarios() []degradedScenario {
 // counts and node losses. Every run is deterministic, so the table is
 // reproducible bit-exactly.
 func Degraded() (*Table, error) {
+	var sizes []string
+	for _, app := range degradedApps {
+		a, err := core.LookupApp(app)
+		if err != nil {
+			return nil, err
+		}
+		sizes = append(sizes, fmt.Sprintf("%s: n=%d, b=%d hybrid", a.Name, a.N, a.B))
+	}
 	t := &Table{
 		ID:     "degraded",
 		Title:  "Degraded-mode repartitioning under injected faults (XD1, 6 nodes)",
 		Header: []string{"app", "scenario", "detector", "seconds", "inflation", "repart", "dead"},
 		Notes: []string{
-			"lu: n=30000, b=3000 hybrid; fw: n=18432, b=256 hybrid",
+			strings.Join(sizes, "; "),
 			"inflation = makespan over the fault-free run of the same app",
 			"oracle rows repartition against the configured ground truth at the first iteration boundary",
 		},
 	}
 	base := map[string]float64{}
-	for _, app := range []string{"lu", "fw"} {
-		r, err := core.Simulate(app, degradedSpec(app, nil))
+	for _, app := range degradedApps {
+		r, err := degradedRun(app, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -91,14 +100,18 @@ func Degraded() (*Table, error) {
 	return t, nil
 }
 
-// degradedSizes are the study's problem sizes per app, n then b.
-var degradedSizes = map[string][2]int{"lu": {30000, 3000}, "fw": {18432, 256}}
+// degradedApps are the study's apps, run at the app table's default
+// (paper) sizes.
+var degradedApps = []string{"lu", "fw"}
 
-// degradedSpec is the study's hybrid run of app under inj (nil =
+// degradedRun simulates the study's hybrid run of app under inj (nil =
 // fault-free), every partition solved by the model.
-func degradedSpec(app string, inj *fault.Injector) core.Spec {
-	size := degradedSizes[app]
-	return core.Spec{N: size[0], B: size[1], BF: -1, L: -1, L1: -1, Mode: core.Hybrid, Faults: inj}
+func degradedRun(app string, inj *fault.Injector) (*core.AppRun, error) {
+	a, err := core.LookupApp(app)
+	if err != nil {
+		return nil, err
+	}
+	return a.Run(core.Spec{N: a.N, B: a.B, BF: -1, L: -1, L1: -1, Mode: core.Hybrid, Faults: inj})
 }
 
 // runDegraded simulates one app under one fault spec. Injectors are
@@ -108,7 +121,7 @@ func runDegraded(app string, spec *fault.Spec) (seconds float64, reparts int, de
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	r, err := core.Simulate(app, degradedSpec(app, inj))
+	r, err := degradedRun(app, inj)
 	if err != nil {
 		return 0, 0, nil, err
 	}

@@ -67,7 +67,9 @@ func badRequest(format string, args ...any) *Error {
 // "the preset or app default"; a null/absent BF or L means "solve the
 // model equation" (the -1 sentinel of internal/sweep).
 type SolveRequest struct {
-	// App is the application: "lu" (default), "fw", "mm" or "spmv".
+	// App is the application, a core app-table name: "lu" (default),
+	// "fw", "mm", "spmv", "chol", "qr" or "cg" (cg has no closed-form
+	// model and answers under the "sim" method only).
 	App string `json:"app,omitempty"`
 	// Machine is the machine preset: "xd1" (default), "xt3", "src6",
 	// "rasc".
@@ -86,11 +88,11 @@ type SolveRequest struct {
 	B int `json:"b,omitempty"`
 	// PEs is the FPGA PE-array size (0 = largest that fits).
 	PEs int `json:"pes,omitempty"`
-	// BF is the FPGA row share for LU/MM stripes; null or -1 solves
-	// Equation 4 / Equation 1.
+	// BF is the FPGA row share of the stripes or rows; null or -1
+	// solves Equation 4 / Equation 1.
 	BF *int `json:"bf,omitempty"`
-	// L is the LU pipeline depth or FW per-phase processor share l1;
-	// null or -1 solves Equation 5 / Equation 6.
+	// L is the LU/Cholesky pipeline depth or FW per-phase processor
+	// share l1; null or -1 solves Equation 5 / Equation 6.
 	L *int `json:"l,omitempty"`
 	// Method selects the evaluator: "model" (default, microseconds per
 	// query) or "sim" (full discrete-event simulation, seconds —

@@ -27,12 +27,11 @@ func ArchiveFrontierSpans(res *Result, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ev := newEvaluator(0)
 	var paths []string
 	var firstErr error
 	for _, idx := range res.ParetoIndices {
 		pt := res.Points[idx]
-		rec, makespan, err := ev.record(pt)
+		rec, makespan, err := record(pt)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("point %d: %w", pt.Index, err)
@@ -66,15 +65,15 @@ func ArchiveFrontierSpans(res *Result, dir string) ([]string, error) {
 }
 
 // record re-simulates one grid point with a recorder attached,
-// through the same sentinel resolution and simulate call as the
-// MethodSim evaluation.
-func (ev *evaluator) record(pt Point) (*trace.Recorder, float64, error) {
-	r, err := ev.resolve(pt)
+// through the same point spec and simulate call as the MethodSim
+// evaluation.
+func record(pt Point) (*trace.Recorder, float64, error) {
+	app, s, err := pointSpec(pt)
 	if err != nil {
 		return nil, 0, err
 	}
 	rec := trace.NewRecorder()
-	res, err := ev.simulate(r, rec)
+	res, err := simulate(app, s, rec)
 	if err != nil {
 		return nil, 0, err
 	}

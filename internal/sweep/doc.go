@@ -4,20 +4,23 @@
 // Reconfigurable Computing Systems" (IPDPS 2007) performs by hand when
 // it picks the published (Of, Ff, b, l) design points.
 //
-// A Grid declares axes over machine presets, node counts, problem and
-// block sizes, PE-array widths, partition overrides and design modes;
-// its cross product is enumerated in a deterministic order and each
-// Point is evaluated either with the closed-form design model
-// (Equations 1-6 plus the Section 4.5 predictor, microseconds per
-// point) or with the full discrete-event simulation in internal/core
-// (MethodSim, which also reports the measured bottleneck from
+// A Grid declares axes over the core app table's applications, machine
+// presets, node counts, problem and block sizes, PE-array widths,
+// partition overrides and design modes; its cross product is
+// enumerated in a deterministic order. Each Point's design and
+// partition come from its app's core plan stage (App.Plan), and the
+// point is evaluated either with the closed-form design model the plan
+// carries (Equations 1-6 plus the Section 4.5 predictor, microseconds
+// per point) or with the full discrete-event simulation of the planned
+// spec (MethodSim, which also reports the measured bottleneck from
 // internal/analysis and the telemetry overlap efficiency).
 //
 // Run schedules the points on a bounded, context-cancellable worker
-// pool sized by runtime.GOMAXPROCS. Shared sub-problems — the pseudo
-// place-and-route of a PE array on a device, and the Equation 1/4/5/6
-// partition solves — are memoized under a lock so each distinct
-// sub-problem is computed exactly once per sweep. Outcomes land in a
+// pool sized by runtime.GOMAXPROCS. Shared sub-problems — the PEs=0
+// array search, the pseudo place-and-route of a PE array on a device,
+// and the Equation 1/4/5/6 partition solves — are memoized under a lock
+// (the evaluator is the plans' core.Memo) so each distinct sub-problem
+// is computed exactly once per sweep. Outcomes land in a
 // slice indexed by Point.Index, so the Result (and its JSON/CSV
 // serializations) is byte-identical across worker counts and
 // schedules.

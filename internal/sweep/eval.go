@@ -1,16 +1,15 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"codesign/internal/analysis"
 	"codesign/internal/cache"
 	"codesign/internal/core"
-	"codesign/internal/cpu"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
-	"codesign/internal/model"
 	"codesign/internal/trace"
 )
 
@@ -27,7 +26,7 @@ type Outcome struct {
 	Err string `json:"err,omitempty"`
 
 	// K is the resolved PE count; Of the design's flops per cycle
-	// (2K for both PE arrays); FfMHz the post-place-and-route clock.
+	// (2K for every PE array); FfMHz the post-place-and-route clock.
 	K int `json:"k,omitempty"`
 	// Of is the design's floating-point operations per FPGA cycle.
 	Of int `json:"of,omitempty"`
@@ -46,11 +45,12 @@ type Outcome struct {
 	// the Pareto frontier.
 	BdGBps float64 `json:"bd_gbps,omitempty"`
 
-	// BF and BP are the resolved stripe row split (LU/MM).
+	// BF and BP are the resolved FPGA/processor row split (stripe rows
+	// for lu, chol, qr and mm; operator rows for spmv and cg).
 	BF int `json:"bf,omitempty"`
 	// BP is the processor's rows of the split.
 	BP int `json:"bp,omitempty"`
-	// L is the resolved LU panel pipeline depth (Eq. 5).
+	// L is the resolved lu/chol panel pipeline depth (Eq. 5).
 	L int `json:"l,omitempty"`
 	// L1 and L2 are the resolved FW whole-task split (Eq. 6).
 	L1 int `json:"l1,omitempty"`
@@ -111,28 +111,10 @@ type Stats struct {
 	ResolveSolves int `json:"resolve_solves"`
 }
 
-// placeKey identifies one pseudo place-and-route problem.
-type placeKey struct {
-	design string
-	k      int
-	device string
-}
-
 // placeVal is a memoized placement (or its failure).
 type placeVal struct {
-	usage  fpga.Usage
-	freqHz float64
-	err    string
-}
-
-// partKey identifies one closed-form partition solve. params holds the
-// comparable model parameter struct (LUParams/FWParams/MMParams); kind
-// distinguishes the equation; arg carries the extra scalar some solves
-// need (bf for Eq. 5, n for Eq. 6).
-type partKey struct {
-	kind   string
-	params interface{}
-	arg    int
+	core.Placement
+	err string
 }
 
 // partVal is a memoized partition solution (two ints cover every
@@ -141,30 +123,19 @@ type partVal struct {
 	a, b int
 }
 
-// resolveKey identifies one largest-fitting-PE-array search (the
-// PEs=0 sentinel resolution). Together with placeKey and partKey it
-// forms the structured per-stage key family behind incremental
-// evaluation: two grid points that differ in one axis share every
-// stage whose key does not mention that axis, so a neighbor is
-// delta-evaluated instead of re-derived. The key deliberately omits
-// every axis the search does not depend on — app family (not app:
-// lu and mm share the matmul array), device, and the block size only
-// for FW, whose array must divide the block.
-type resolveKey struct {
-	family string
-	device string
-	b      int
-}
-
-// evaluator carries the memo caches behind one or more sweeps. Run
-// builds a fresh unbounded one per call unless Options.Evaluator
-// shares a long-lived instance (the codesignd serving path); either
-// way each distinct placement or partition is solved exactly once per
-// evaluator, so results stay deterministic.
+// evaluator carries the memo caches behind one or more sweeps and is
+// the core.Memo every point's plan solves through. The three caches are
+// the structured per-stage key family behind incremental evaluation:
+// two grid points that differ in one axis share every stage whose key
+// does not mention that axis, so a neighbor is delta-evaluated instead
+// of re-derived. Run builds a fresh unbounded evaluator per call unless
+// Options.Evaluator shares a long-lived instance (the codesignd serving
+// path); either way each distinct search, placement or partition is
+// solved exactly once per evaluator, so results stay deterministic.
 type evaluator struct {
-	place *cache.LRU[placeKey, placeVal]
-	part  *cache.LRU[partKey, partVal]
-	maxk  *cache.LRU[resolveKey, int]
+	place *cache.LRU[core.PlaceKey, placeVal]
+	part  *cache.LRU[core.PartitionKey, partVal]
+	maxk  *cache.LRU[core.MaxPEsKey, int]
 
 	mu    sync.Mutex
 	stats Stats
@@ -179,9 +150,9 @@ type evaluator struct {
 // bound entries each (0 = unbounded, the per-sweep mode).
 func newEvaluator(bound int) *evaluator {
 	ev := &evaluator{
-		place: cache.NewLRU[placeKey, placeVal](bound),
-		part:  cache.NewLRU[partKey, partVal](bound),
-		maxk:  cache.NewLRU[resolveKey, int](bound),
+		place: cache.NewLRU[core.PlaceKey, placeVal](bound),
+		part:  cache.NewLRU[core.PartitionKey, partVal](bound),
+		maxk:  cache.NewLRU[core.MaxPEsKey, int](bound),
 	}
 	ev.recs.New = func() any { return trace.NewRecorder() }
 	return ev
@@ -203,6 +174,16 @@ func (ev *evaluator) statsDelta(before Stats) Stats {
 	return s
 }
 
+// count records one memo lookup, and a solve when it computed.
+func (ev *evaluator) count(lookups, solves *int, computed bool) {
+	ev.mu.Lock()
+	*lookups++
+	if computed {
+		*solves++
+	}
+	ev.mu.Unlock()
+}
+
 // recorder checks out a reset span recorder from the pool.
 func (ev *evaluator) recorder() *trace.Recorder {
 	rec := ev.recs.Get().(*trace.Recorder)
@@ -210,430 +191,118 @@ func (ev *evaluator) recorder() *trace.Recorder {
 	return rec
 }
 
-// placed returns the memoized pseudo place-and-route solution for the
-// design on the device. The compute happens under the cache lock
-// (cache.LRU.GetOrCompute), so each distinct placement is solved
-// exactly once per evaluator no matter how many workers race for it.
-func (ev *evaluator) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
-	key := placeKey{design: d.Name(), k: d.PEs(), device: dev.Name}
+// MaxPEs implements core.Memo: every grid point that leaves PEs unset
+// shares one largest-fitting-array search per (family, device, fw
+// block size), so a million-point sweep pays for a handful of searches
+// instead of one per point. As for the other two memos the solve runs
+// under the cache lock (cache.LRU.GetOrCompute), so each distinct
+// problem is solved exactly once no matter how many workers race for
+// it.
+func (ev *evaluator) MaxPEs(key core.MaxPEsKey, dev fpga.Device) int {
+	k, computed := ev.maxk.GetOrCompute(key, func() int { return key.Search(dev) })
+	ev.count(&ev.stats.ResolveLookups, &ev.stats.ResolveSolves, computed)
+	return k
+}
+
+// Place implements core.Memo for pseudo place-and-route.
+func (ev *evaluator) Place(key core.PlaceKey, dev fpga.Device) (core.Placement, error) {
 	v, computed := ev.place.GetOrCompute(key, func() placeVal {
-		p, err := fpga.Place(d, dev)
+		p, err := key.Place(dev)
 		if err != nil {
 			return placeVal{err: err.Error()}
 		}
-		return placeVal{usage: d.Resources(), freqHz: p.FreqHz}
+		return placeVal{Placement: p}
 	})
-	ev.mu.Lock()
-	ev.stats.PlaceLookups++
-	if computed {
-		ev.stats.PlaceSolves++
-	}
-	ev.mu.Unlock()
+	ev.count(&ev.stats.PlaceLookups, &ev.stats.PlaceSolves, computed)
 	if v.err != "" {
-		return v, fmt.Errorf("%s", v.err)
+		return v.Placement, errors.New(v.err)
 	}
-	return v, nil
+	return v.Placement, nil
 }
 
-// partition returns the memoized solution of one closed-form solve,
-// computing it via solve under the cache lock on first use.
-func (ev *evaluator) partition(key partKey, solve func() (int, int)) (int, int) {
+// Partition implements core.Memo for the Eq. 1/4/5/6 solves.
+func (ev *evaluator) Partition(key core.PartitionKey) (int, int) {
 	v, computed := ev.part.GetOrCompute(key, func() partVal {
-		a, b := solve()
+		a, b := key.Solve()
 		return partVal{a: a, b: b}
 	})
-	ev.mu.Lock()
-	ev.stats.PartitionLookups++
-	if computed {
-		ev.stats.PartitionSolves++
-	}
-	ev.mu.Unlock()
+	ev.count(&ev.stats.PartitionLookups, &ev.stats.PartitionSolves, computed)
 	return v.a, v.b
-}
-
-// paper-default problem sizes per app (Section 6.1; spmv has no paper
-// size — its default keeps a dense-operator point affordable under
-// MethodSim).
-func appDefaults(app string) (n, b int) {
-	switch app {
-	case "lu":
-		return 30000, 3000
-	case "fw":
-		return 18432, 256
-	case "spmv":
-		return 2048, 0
-	default: // mm
-		return 6144, 0
-	}
-}
-
-// resolved is a Point with sentinels replaced: concrete machine
-// config, problem/block sizes and PE count.
-type resolved struct {
-	pt   Point
-	cfg  machine.Config
-	mode core.Mode
-	n, b int
-	k    int
-	of   int
 }
 
 // fail builds an infeasible outcome.
 func fail(err error) Outcome { return Outcome{Err: err.Error()} }
 
-// resolve fills a point's sentinel values: the machine config (preset
-// + node override), app-default sizes, and the PE count (largest
-// fitting array when 0, shrunk to divide the FW block size as the
-// paper does).
-func (ev *evaluator) resolve(pt Point) (resolved, error) {
+// pointSpec maps a grid point to its app-table entry and core.Spec: the
+// machine preset with the node override, the mode, and the entry's
+// default sizes for a zero N or B. The grid's L axis is both LU's
+// pipeline depth and FW's l1.
+func pointSpec(pt Point) (core.App, core.Spec, error) {
+	app, err := core.LookupApp(pt.App)
+	if err != nil {
+		return app, core.Spec{}, err
+	}
 	cfg, err := machine.Preset(pt.Machine)
 	if err != nil {
-		return resolved{}, err
+		return app, core.Spec{}, err
 	}
-	cfg = cfg.WithNodes(pt.Nodes)
 	mode, err := core.ParseMode(pt.Mode)
 	if err != nil {
-		return resolved{}, err
+		return app, core.Spec{}, err
 	}
-	r := resolved{pt: pt, cfg: cfg, mode: mode, n: pt.N, b: pt.B}
-	dn, db := appDefaults(pt.App)
-	if r.n == 0 {
-		r.n = dn
+	s := core.Spec{Machine: cfg.WithNodes(pt.Nodes), N: pt.N, B: pt.B, PEs: pt.PEs,
+		BF: pt.BF, L: pt.L, L1: pt.L, Density: pt.Density, Mode: mode}
+	if s.N == 0 {
+		s.N = app.N
 	}
-	if r.b == 0 {
-		r.b = db
+	if s.B == 0 {
+		s.B = app.B
 	}
-	mk := func(k int) fpga.Design { return fpga.NewMatMul(k) }
-	switch pt.App {
-	case "fw":
-		mk = func(k int) fpga.Design { return fpga.NewFW(k) }
-	case "spmv":
-		mk = func(k int) fpga.Design { return fpga.NewMV(k) }
-	}
-	r.k = pt.PEs
-	if r.k == 0 {
-		// Memoized by (family, device, b-for-FW): every grid point that
-		// leaves PEs unset shares the same search unless it changes one
-		// of those axes, so a million-point sweep pays for a handful of
-		// MaxPEs searches instead of one per point.
-		key := resolveKey{family: "matmul", device: cfg.Device.Name}
-		switch pt.App {
-		case "fw":
-			key.family, key.b = "fw", r.b
-		case "spmv":
-			key.family = "mv"
-		}
-		k, computed := ev.maxk.GetOrCompute(key, func() int {
-			k := fpga.MaxPEs(mk, cfg.Device)
-			if pt.App == "fw" {
-				// Largest PE count dividing the block size (mkmachine's
-				// convention for non-power-of-two blocks).
-				for k > 1 && r.b%k != 0 {
-					k--
-				}
-			}
-			return k
-		})
-		ev.mu.Lock()
-		ev.stats.ResolveLookups++
-		if computed {
-			ev.stats.ResolveSolves++
-		}
-		ev.mu.Unlock()
-		r.k = k
-	}
-	if r.k < 1 {
-		return r, fmt.Errorf("no %s PE array fits %s", pt.App, cfg.Device.Name)
-	}
-	r.of = 2 * r.k // both PE arrays do two flops per PE per cycle
-	return r, nil
+	return app, s, nil
 }
 
-// evaluate runs one grid point under the given method.
+// evaluate runs one grid point under the given method: the point's
+// plan, solved through the evaluator's memos, gives the placed design
+// and the partition; MethodModel reads the Section 4.5 prediction and
+// the closed-form binding from it, MethodSim simulates the planned
+// spec.
 func (ev *evaluator) evaluate(pt Point, method string) Outcome {
-	r, err := ev.resolve(pt)
+	app, s, err := pointSpec(pt)
 	if err != nil {
 		return fail(err)
 	}
-	switch pt.App {
-	case "lu":
-		return ev.evalLU(r, method)
-	case "fw":
-		return ev.evalFW(r, method)
-	case "spmv":
-		return ev.evalSpMV(r, method)
-	default:
-		return ev.evalMM(r, method)
-	}
-}
-
-// design returns the placed design's outcome skeleton: PE geometry,
-// clock, resource usage and effective DRAM bandwidth.
-func (ev *evaluator) design(r resolved, d fpga.Design) (Outcome, float64, error) {
-	pv, err := ev.placed(d, r.cfg.Device)
-	if err != nil {
-		return Outcome{}, 0, err
-	}
-	bd := machine.EffectiveBd(r.cfg.RawFPGADRAMBandwidth, pv.freqHz)
-	return Outcome{
-		OK: true, K: r.k, Of: r.of, FfMHz: pv.freqHz / 1e6,
-		Slices: pv.usage.Slices, BlockRAMs: pv.usage.BlockRAMs, Multipliers: pv.usage.Multipliers,
-		BdGBps: bd / 1e9,
-	}, bd, nil
-}
-
-// sramBytes is the on-board memory budget the designs allocate: half
-// of the node's QDR-II capacity, matching internal/core's runs.
-func sramBytes(cfg machine.Config) int64 {
-	return int64(cfg.SRAMBanks) * cfg.SRAMBankBytes / 2
-}
-
-func (ev *evaluator) evalLU(r resolved, method string) Outcome {
-	cfg, n, b := r.cfg, r.n, r.b
-	p := cfg.Nodes
-	switch {
-	case p < 2:
-		return fail(fmt.Errorf("lu needs p >= 2, got %d", p))
-	case n%b != 0:
-		return fail(fmt.Errorf("block size %d must divide n=%d", b, n))
-	case b%(p-1) != 0:
-		return fail(fmt.Errorf("block size %d must be a multiple of p-1=%d", b, p-1))
-	case b%r.k != 0:
-		return fail(fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k))
-	}
-	out, bd, err := ev.design(r, fpga.NewMatMul(r.k))
-	if err != nil {
-		return fail(err)
-	}
-	proc := cfg.Processor()
-	lp := model.LUParams{
-		P: p, B: b, K: r.k,
-		Ff:         out.FfMHz * 1e6,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         bd,
-		Bn:         cfg.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sramBytes(cfg),
-	}
-	if err := lp.Validate(); err != nil {
-		return fail(err)
-	}
-	// Resolve the partition exactly as core.RunLU does.
-	bf := r.pt.BF
-	switch r.mode {
-	case core.ProcessorOnly:
-		bf = 0
-	case core.FPGAOnly:
-		bf = b
-	default:
-		if bf < 0 {
-			bf, _ = ev.partition(partKey{kind: "lu.bf", params: lp}, lp.SolvePartition)
+	if method == MethodModel {
+		if err := app.CheckModel(); err != nil {
+			return fail(fmt.Errorf("%w; use method sim", err))
 		}
 	}
-	if bf < 0 || bf > b {
-		return fail(fmt.Errorf("bf=%d out of [0,%d]", bf, b))
-	}
-	l := r.pt.L
-	if l < 0 {
-		l, _ = ev.partition(partKey{kind: "lu.l", params: lp, arg: bf},
-			func() (int, int) { return lp.SolveL(bf), 0 })
-	}
-	out.BF, out.BP, out.L = bf, b-bf, l
-
-	if method == MethodModel {
-		pred := lp.PredictLU(n, bf)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := lp.StripeBinding(bf)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	return ev.measured(out, r)
-}
-
-func (ev *evaluator) evalFW(r resolved, method string) Outcome {
-	cfg, n, b := r.cfg, r.n, r.b
-	p := cfg.Nodes
-	switch {
-	case b*p == 0 || n%(b*p) != 0:
-		return fail(fmt.Errorf("b*p=%d must divide n=%d", b*p, n))
-	case b%r.k != 0:
-		return fail(fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k))
-	}
-	out, bd, err := ev.design(r, fpga.NewFW(r.k))
+	pl, err := app.Plan(s, ev)
 	if err != nil {
 		return fail(err)
 	}
-	proc := cfg.Processor()
-	fp := model.FWParams{
-		P: p, B: b, K: r.k,
-		Ff:        out.FfMHz * 1e6,
-		FWRate:    proc.Rate(cpu.FWKernel),
-		Bd:        bd,
-		Bn:        cfg.Fabric.LinkBandwidth,
-		Bw:        machine.WordBytes,
-		SRAMBytes: sramBytes(cfg),
+	sp := pl.Split
+	out := Outcome{
+		OK: true, K: sp.K, Of: 2 * sp.K, FfMHz: pl.FreqHz / 1e6, // every PE array does two flops per PE per cycle
+		Slices: pl.Usage.Slices, BlockRAMs: pl.Usage.BlockRAMs, Multipliers: pl.Usage.Multipliers,
+		BdGBps: pl.Bd / 1e9,
+		BF:     sp.BF, BP: sp.BP, L: sp.L, L1: sp.L1, L2: sp.L2,
 	}
-	if err := fp.Validate(); err != nil {
-		return fail(err)
+	if method == MethodSim {
+		return ev.measured(out, app, pl.Spec)
 	}
-	total := fp.OpsPerPhase(n)
-	l1 := r.pt.L
-	switch r.mode {
-	case core.ProcessorOnly:
-		l1 = total
-	case core.FPGAOnly:
-		l1 = 0
-	default:
-		if l1 < 0 {
-			l1, _ = ev.partition(partKey{kind: "fw.l1", params: fp, arg: n},
-				func() (int, int) { return fp.SolveSplit(n) })
-		}
-	}
-	if l1 < 0 || l1 > total {
-		return fail(fmt.Errorf("l1=%d out of [0,%d]", l1, total))
-	}
-	out.L1, out.L2 = l1, total-l1
-
-	if method == MethodModel {
-		pred := fp.PredictFW(n, l1, total-l1)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := fp.PhaseBinding(l1, total-l1)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	return ev.measured(out, r)
+	pred := pl.Prediction
+	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
+	out.Binding, out.Margin = pl.Binding.String(), pl.Margin
+	return out
 }
 
-func (ev *evaluator) evalMM(r resolved, method string) Outcome {
-	cfg, n := r.cfg, r.n
-	p := cfg.Nodes
-	switch {
-	case n%r.k != 0:
-		return fail(fmt.Errorf("n=%d must be a multiple of k=%d", n, r.k))
-	case n%p != 0:
-		return fail(fmt.Errorf("n=%d must be a multiple of p=%d", n, p))
-	}
-	out, bd, err := ev.design(r, fpga.NewMatMul(r.k))
-	if err != nil {
-		return fail(err)
-	}
-	proc := cfg.Processor()
-	mp := model.MMParams{
-		P: p, N: n, K: r.k,
-		Ff:         out.FfMHz * 1e6,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		Bd:         bd,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sramBytes(cfg),
-	}
-	if err := mp.Validate(); err != nil {
-		return fail(err)
-	}
-	bf := r.pt.BF
-	switch r.mode {
-	case core.ProcessorOnly:
-		bf = 0
-	case core.FPGAOnly:
-		bf = n
-	default:
-		if bf < 0 {
-			bf, _ = ev.partition(partKey{kind: "mm.bf", params: mp}, mp.SolvePartition)
-		}
-	}
-	if bf < 0 || bf > n {
-		return fail(fmt.Errorf("bf=%d out of [0,%d]", bf, n))
-	}
-	out.BF, out.BP = bf, n-bf
-
-	if method == MethodModel {
-		pred := mp.PredictMM(bf)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := mp.StripeBinding(bf)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	return ev.measured(out, r)
-}
-
-func (ev *evaluator) evalSpMV(r resolved, method string) Outcome {
-	cfg, n := r.cfg, r.n
-	out, bd, err := ev.design(r, fpga.NewMV(r.k))
-	if err != nil {
-		return fail(err)
-	}
-	proc := cfg.Processor()
-	// The operator's stream footprint mirrors matrix.RandomSparse
-	// exactly — round(density·(n-1)) off-diagonals plus the diagonal per
-	// row — so the model method prices the same operator the sim method
-	// materializes.
-	var words, nnz int
-	mvRate := proc.Rate(cpu.DGEMV)
-	if r.pt.Density > 0 {
-		perRow := int(r.pt.Density*float64(n-1) + 0.5)
-		nnz = n * (perRow + 1)
-		words = model.CSRStreamWords(nnz)
-		mvRate = proc.Rate(cpu.SpMV)
-	} else {
-		nnz = n * n
-		words = n * n
-	}
-	sp := model.SpMVParams{
-		N: n, K: r.k, Words: words,
-		Ff:        out.FfMHz * 1e6,
-		MVRate:    mvRate,
-		Bd:        bd,
-		Bs:        cfg.SRAMBandwidth,
-		Bw:        machine.WordBytes,
-		SRAMBytes: sramBytes(cfg),
-		Applies:   1,
-		Flops:     2 * float64(nnz),
-	}
-	if err := sp.Validate(); err != nil {
-		return fail(err)
-	}
-	rf := r.pt.BF
-	switch r.mode {
-	case core.ProcessorOnly:
-		rf = 0
-	case core.FPGAOnly:
-		rf = n
-	default:
-		if rf < 0 {
-			rf, _ = ev.partition(partKey{kind: "spmv.rf", params: sp}, sp.SolvePartition)
-		}
-	}
-	if rf < 0 || rf > n {
-		return fail(fmt.Errorf("rowsFPGA=%d out of [0,%d]", rf, n))
-	}
-	out.BF, out.BP = rf, n-rf
-
-	if method == MethodModel {
-		pred := sp.PredictSpMV(rf)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := sp.StripeBinding(rf)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	return ev.measured(out, r)
-}
-
-// simulate runs a resolved point's full simulation through the core
-// app table with rec attached. It is the one MethodSim configuration:
-// measured and the frontier span archive both call it, so an archived
-// trace is exactly the run the sweep measured.
-func (ev *evaluator) simulate(r resolved, rec *trace.Recorder) (*core.AppRun, error) {
-	// The grid's L axis is LU's pipeline depth and FW's l1; RunFW reads
-	// l1 only in hybrid mode, deriving the baseline splits itself.
-	return core.Simulate(r.pt.App, core.Spec{
-		Machine: r.cfg, N: r.n, B: r.b, PEs: r.k, BF: r.pt.BF, L: r.pt.L, L1: r.pt.L,
-		Density: r.pt.Density, Mode: r.mode, Observer: rec,
-	})
+// simulate runs one point's full simulation through the core app table
+// with rec attached. It is the one MethodSim configuration: measured
+// and the frontier span archive both call it, so an archived trace is
+// exactly the run the sweep measured.
+func simulate(app core.App, s core.Spec, rec *trace.Recorder) (*core.AppRun, error) {
+	s.Observer = rec
+	return app.Run(s)
 }
 
 // measured finishes a MethodSim outcome: measured throughput, the
@@ -641,10 +310,10 @@ func (ev *evaluator) simulate(r resolved, rec *trace.Recorder) (*core.AppRun, er
 // efficiency, and the dominant phase's measured binding from the
 // internal/analysis bottleneck classifier. The span digest runs on a
 // pooled recorder's buffer in place.
-func (ev *evaluator) measured(out Outcome, r resolved) Outcome {
+func (ev *evaluator) measured(out Outcome, app core.App, s core.Spec) Outcome {
 	rec := ev.recorder()
 	defer ev.recs.Put(rec)
-	res, err := ev.simulate(r, rec)
+	res, err := simulate(app, s, rec)
 	if err != nil {
 		return fail(err)
 	}

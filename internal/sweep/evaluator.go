@@ -2,7 +2,8 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
+
+	"codesign/internal/core"
 )
 
 // Evaluator is the memoized point-evaluation engine behind Run,
@@ -37,8 +38,8 @@ func (e *Evaluator) Evaluate(pt Point, method string) Outcome {
 	if method != MethodModel && method != MethodSim {
 		return fail(fmt.Errorf("unknown method %q (want %q or %q)", method, MethodModel, MethodSim))
 	}
-	if !contains(knownApps, pt.App) {
-		return fail(fmt.Errorf("unknown app %q (want one of %s)", pt.App, strings.Join(knownApps, ", ")))
+	if _, err := core.LookupApp(pt.App); err != nil {
+		return fail(err)
 	}
 	if !contains(knownModes, pt.Mode) {
 		return fail(fmt.Errorf("unknown mode %q (want one of hybrid, processor-only, fpga-only)", pt.Mode))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 
+	"codesign/internal/core"
 	"codesign/internal/machine"
 )
 
@@ -23,9 +24,6 @@ const (
 	MethodSim = "sim"
 )
 
-// Applications a grid can sweep.
-var knownApps = []string{"lu", "fw", "mm", "spmv"}
-
 // Modes a grid can sweep.
 var knownModes = []string{"hybrid", "processor-only", "fpga-only"}
 
@@ -33,13 +31,16 @@ var knownModes = []string{"hybrid", "processor-only", "fpga-only"}
 // every axis is the point set. Empty axes take defaults (one XD1
 // chassis, hybrid LU at the paper's sizes, a dense operator, solved
 // partitions), so the zero Grid is the paper's headline configuration.
-// A zero in N, B or PEs means "the app's default" (LU n=30000/b=3000,
-// FW n=18432/b=256, MM n=6144 and SpMV n=2048, which have no block
+// A zero in N, B or PEs means "the app's default" (the core app
+// table's sizes: LU, Cholesky and QR n=30000/b=3000, FW n=18432/b=256,
+// MM n=6144, SpMV n=2048 and CG n=1024, the last three without block
 // structure; largest PE array that fits); -1 in BF or L means "solve
-// the model equation" (Eq. 4 / Eq. 5 for LU, Eq. 6 for FW, Eq. 1 for
-// MM and SpMV).
+// the model equation" (Eq. 4 / Eq. 5 for LU and Cholesky, Eq. 4 for
+// QR, Eq. 6 for FW, Eq. 1 for MM and SpMV).
 type Grid struct {
-	// Apps selects applications: "lu", "fw", "mm", "spmv".
+	// Apps selects applications from the core app table: "lu", "fw",
+	// "mm", "spmv", "chol", "qr", "cg" (cg has no closed-form model and
+	// sweeps under MethodSim only).
 	Apps []string `json:"apps,omitempty"`
 	// Machines selects machine presets by name: "xd1", "xt3", "src6",
 	// "rasc".
@@ -57,11 +58,12 @@ type Grid struct {
 	// PEs is the FPGA PE-array size axis (0 = largest that fits the
 	// device, the paper's choice).
 	PEs []int `json:"pes,omitempty"`
-	// BF is the FPGA row-share axis for LU/MM stripes and SpMV rows
-	// (-1 = solve Equation 4 / Equation 1; ignored by fw).
+	// BF is the FPGA row-share axis for LU/Cholesky/QR/MM stripes and
+	// SpMV/CG rows (-1 = solve Equation 4 / Equation 1; ignored by fw).
 	BF []int `json:"bf,omitempty"`
-	// L is the pipeline-depth axis: LU's Equation 5 panel pipeline
-	// depth, or FW's per-phase processor share l1 (-1 = solve).
+	// L is the pipeline-depth axis: LU's and Cholesky's Equation 5
+	// panel pipeline depth, or FW's per-phase processor share l1 (-1 =
+	// solve).
 	L []int `json:"l,omitempty"`
 	// Modes selects design variants: "hybrid", "processor-only",
 	// "fpga-only".
@@ -78,7 +80,8 @@ type Point struct {
 	// Index is the point's position in the deterministic enumeration
 	// order; results are always reported in Index order.
 	Index int `json:"index"`
-	// App is the application ("lu", "fw", "mm", "spmv").
+	// App is the application, a core app-table name ("lu", "fw", "mm",
+	// "spmv", "chol", "qr" or "cg").
 	App string `json:"app"`
 	// Machine is the machine preset name.
 	Machine string `json:"machine"`
@@ -94,9 +97,9 @@ type Point struct {
 	B int `json:"b"`
 	// PEs is the PE-array size (0 = largest that fits).
 	PEs int `json:"pes"`
-	// BF is the LU/MM/SpMV FPGA row share (-1 = solve).
+	// BF is the FPGA row share (-1 = solve).
 	BF int `json:"bf"`
-	// L is the LU pipeline depth or FW l1 (-1 = solve).
+	// L is the LU/Cholesky pipeline depth or FW l1 (-1 = solve).
 	L int `json:"l"`
 }
 
@@ -143,8 +146,8 @@ func (g Grid) normalized() (Grid, error) {
 		return g, fmt.Errorf("sweep: unknown method %q (want %q or %q)", g.Method, MethodModel, MethodSim)
 	}
 	for _, a := range g.Apps {
-		if !contains(knownApps, a) {
-			return g, fmt.Errorf("sweep: unknown app %q (want one of %s)", a, strings.Join(knownApps, ", "))
+		if _, err := core.LookupApp(a); err != nil {
+			return g, fmt.Errorf("sweep: %w", err)
 		}
 	}
 	for _, m := range g.Machines {

@@ -253,7 +253,7 @@ func TestGridValidation(t *testing.T) {
 		g    Grid
 		want string
 	}{
-		{Grid{Apps: []string{"qr"}}, "unknown app"},
+		{Grid{Apps: []string{"cholesky"}}, "unknown app"},
 		{Grid{Machines: []string{"bluegene"}}, "unknown preset"},
 		{Grid{Modes: []string{"quantum"}}, "unknown mode"},
 		{Grid{Method: "guess"}, "unknown method"},
@@ -335,5 +335,31 @@ func TestPanickingPointRecordedInfeasible(t *testing.T) {
 	clean := safeEvaluate(func() Outcome { return Outcome{OK: true} })
 	if !clean.OK || clean.Err != "" {
 		t.Fatalf("clean evaluation altered: %+v", clean)
+	}
+}
+
+// TestExtensionAppsSweep sweeps apps the paper does not: qr under the
+// closed-form model and cg, which has none, under simulation. A cg
+// point under the model is infeasible and says why.
+func TestExtensionAppsSweep(t *testing.T) {
+	for _, g := range []Grid{
+		{Apps: []string{"qr"}, N: []int{120}, B: []int{40}, PEs: []int{4}},
+		{Apps: []string{"cg"}, N: []int{64}, PEs: []int{4}, Method: MethodSim},
+	} {
+		res, err := Run(context.Background(), g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := res.Outcomes[0]; !o.OK || o.GFLOPS <= 0 || o.PredictedGFLOPS < 0 {
+			t.Errorf("%s %s: %+v", g.Apps[0], g.Method, o)
+		}
+	}
+	res, err := Run(context.Background(), Grid{Apps: []string{"cg"}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "cg has no closed-form model: its row split depends on the operand; use method sim"
+	if o := res.Outcomes[0]; o.OK || o.Err != want {
+		t.Errorf("cg under the model: %+v, want error %q", o, want)
 	}
 }
