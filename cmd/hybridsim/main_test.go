@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"codesign/internal/core"
 	"codesign/internal/trace"
 )
 
@@ -207,5 +208,33 @@ func TestRunWithFaults(t *testing.T) {
 	bad.Faults = path
 	if err := run(bad); err == nil {
 		t.Fatal("mm accepted -faults")
+	}
+}
+
+func TestRunTimelineAllApps(t *testing.T) {
+	// -timeline charts the engine's trace hook, so every app must
+	// attach it: each chart needs at least one row with a busy cell.
+	for _, app := range core.AppNames() {
+		o := small(app)
+		o.Metrics = false
+		o.Timeline = true
+		out, err := runCaptured(t, o)
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		_, chart, ok := bytes.Cut(out, []byte("activity timeline (# = busy):\n"))
+		if !ok {
+			t.Fatalf("%s: no timeline in output:\n%s", app, out)
+		}
+		busy := false
+		for _, row := range bytes.Split(chart, []byte("\n")) {
+			if _, cells, ok := bytes.Cut(row, []byte("|")); ok && bytes.Contains(cells, []byte("#")) {
+				busy = true
+				break
+			}
+		}
+		if !busy {
+			t.Errorf("%s: timeline has no busy row:\n%s", app, chart)
+		}
 	}
 }

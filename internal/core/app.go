@@ -27,8 +27,9 @@ func ParseMode(name string) (Mode, error) {
 }
 
 // Spec is the app-independent description of one simulated run: the
-// union of the knobs the per-app Run* configs take. Each table entry
-// copies the fields its config has and ignores the rest.
+// union of the knobs the per-app Run* configs take. Every Run* converts
+// its config to a Spec once; each app's runner reads the fields it uses
+// and ignores the rest.
 type Spec struct {
 	// Machine is the system; zero value means one Cray XD1 chassis.
 	Machine machine.Config
@@ -58,7 +59,7 @@ type Spec struct {
 	Observer sim.Observer
 	// Telemetry attaches a span digest to the result.
 	Telemetry bool
-	// Trace, when non-nil, receives every engine event (lu and fw).
+	// Trace, when non-nil, receives every engine event.
 	Trace func(t float64, proc, action string)
 	// Faults, when non-nil, injects faults; only apps whose table
 	// entry declares Faults accept it.
@@ -100,12 +101,13 @@ type AppRun struct {
 }
 
 // App is one entry of the application table: every simulated workload
-// with its default sizes, its plan stage and the mapping from a Spec to
-// its Run* call.
+// with its default sizes, its plan stage and its Spec-taking runner, the
+// one its Run* calls.
 type App struct {
 	// Name is the app's CLI and sweep name.
 	Name string
-	// Faults reports whether the app accepts a fault injector.
+	// Faults reports whether the app accepts a fault injector; the
+	// plan stage's faultPolicy says how its run stage treats one.
 	Faults bool
 	// N and B are the app's default problem and block sizes (the
 	// paper's for lu and fw); B is 0 for apps without block structure.
@@ -117,9 +119,7 @@ type App struct {
 // apps is the application table, in report order.
 var apps = []App{
 	{Name: "lu", Faults: true, N: 30000, B: 3000, plan: &luPlan, run: func(s Spec) (*AppRun, error) {
-		r, err := RunLU(LUConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
-			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Trace: s.Trace,
-			Observer: s.Observer, Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics})
+		r, err := runLU(s, luAblation{})
 		if err != nil {
 			return nil, err
 		}
@@ -134,9 +134,7 @@ var apps = []App{
 			}}, nil
 	}},
 	{Name: "fw", Faults: true, N: 18432, B: 256, plan: &fwPlan, run: func(s Spec) (*AppRun, error) {
-		r, err := RunFW(FWConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, L1: s.L1,
-			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Trace: s.Trace,
-			Observer: s.Observer, Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics})
+		r, err := runFW(s, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -151,9 +149,7 @@ var apps = []App{
 			}}, nil
 	}},
 	{Name: "mm", N: 6144, plan: &mmPlan, run: func(s Spec) (*AppRun, error) {
-		r, err := RunMM(MMConfig{Machine: s.Machine, N: s.N, PEs: s.PEs, BF: s.BF,
-			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed,
-			Observer: s.Observer, Telemetry: s.Telemetry})
+		r, err := runMM(s)
 		if err != nil {
 			return nil, err
 		}
@@ -168,13 +164,7 @@ var apps = []App{
 			}}, nil
 	}},
 	{Name: "spmv", Faults: true, N: 2048, plan: &spmvPlan, run: func(s Spec) (*AppRun, error) {
-		runner := RunSpMV
-		if s.RHS > 1 {
-			runner = RunSpMM
-		}
-		r, err := runner(SpMVConfig{Machine: s.Machine, N: s.N, Density: s.Density, RHS: s.RHS,
-			PEs: s.PEs, RowsFPGA: s.BF, Mode: s.Mode, Seed: s.Seed,
-			Observer: s.Observer, Telemetry: s.Telemetry, Faults: s.Faults})
+		r, err := runMV(s)
 		if err != nil {
 			return nil, err
 		}
@@ -199,9 +189,7 @@ var apps = []App{
 			}}, nil
 	}},
 	{Name: "chol", N: 30000, B: 3000, plan: &cholPlan, run: func(s Spec) (*AppRun, error) {
-		r, err := RunCholesky(CholConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
-			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed,
-			Observer: s.Observer, Telemetry: s.Telemetry})
+		r, err := runCholesky(s)
 		if err != nil {
 			return nil, err
 		}
@@ -216,9 +204,7 @@ var apps = []App{
 			}}, nil
 	}},
 	{Name: "qr", N: 30000, B: 3000, plan: &qrPlan, run: func(s Spec) (*AppRun, error) {
-		r, err := RunQR(QRConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF,
-			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed,
-			Observer: s.Observer, Telemetry: s.Telemetry})
+		r, err := runQR(s)
 		if err != nil {
 			return nil, err
 		}
@@ -233,8 +219,7 @@ var apps = []App{
 			}}, nil
 	}},
 	{Name: "cg", N: 1024, plan: &cgPlan, run: func(s Spec) (*AppRun, error) {
-		r, err := RunCG(CGConfig{Machine: s.Machine, N: s.N, PEs: s.PEs, RowsFPGA: s.BF,
-			Mode: s.Mode, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry})
+		r, err := runCG(s, 0)
 		if err != nil {
 			return nil, err
 		}

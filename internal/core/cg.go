@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/cpu"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -30,10 +29,6 @@ type CGConfig struct {
 	// Density selects the operator: 0 means dense SPD; otherwise a
 	// sparse SPD matrix with the given off-diagonal density.
 	Density float64
-	// Tol is the relative residual tolerance (default 1e-10).
-	Tol float64
-	// MaxIter caps the iteration count (default n).
-	MaxIter int
 	// PEs is the MV design size; 0 means the largest that fits.
 	PEs int
 	// RowsFPGA is the FPGA's row share; -1 solves the Equation (1)
@@ -70,40 +65,37 @@ type CGRunResult struct {
 	LoadSeconds float64
 }
 
+// cgTol is the solve's relative residual tolerance; the iteration cap
+// is n.
+const cgTol = 1e-10
+
 // RunCG builds the machine, solves the row split, runs the solve on the
 // simulated node and verifies the iterates against the sequential
 // reference.
 func RunCG(cfg CGConfig) (*CGRunResult, error) {
-	pl, err := cgPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, BF: cfg.RowsFPGA, Mode: cfg.Mode})
+	return runCG(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, BF: cfg.RowsFPGA, Mode: cfg.Mode,
+		Seed: cfg.Seed, Observer: cfg.Observer, Telemetry: cfg.Telemetry}, cfg.Density)
+}
+
+// runCG is RunCG on a Spec, with the operator density beside it
+// (Spec.Density is spmv's; the app table runs cg dense).
+func runCG(s Spec, density float64) (*CGRunResult, error) {
+	h, err := cgPlan.start(s)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Machine = pl.Spec.Machine
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-10
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = cfg.N
-	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := pl.Split.K
-	if err := sys.InstallDesign(fpga.NewMV(k)); err != nil {
-		return nil, err
-	}
+	s, sys := h.Spec, h.sys
+	k, maxIter := h.Split.K, s.N
 	node := sys.Nodes[0]
 	accel := node.Accel
 
 	// Build the operator and the reference solve.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(s.Seed))
 	var op matrix.MulVec
 	var rowWords func(lo, hi int) int // matrix words in rows [lo,hi)
-	nnz := cfg.N * cfg.N
-	if cfg.Density > 0 {
-		sp := matrix.RandomSparseSPD(cfg.N, cfg.Density, rng)
+	nnz := s.N * s.N
+	if density > 0 {
+		sp := matrix.RandomSparseSPD(s.N, density, rng)
 		op = sp
 		nnz = sp.NNZ()
 		// CSR streams value+column index per non-zero (~1.5 words,
@@ -111,49 +103,49 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		// under-charge odd nonzero counts).
 		rowWords = func(lo, hi int) int { return model.CSRStreamWords(sp.RangeNNZ(lo, hi)) }
 	} else {
-		a := matrix.RandomSPD(cfg.N, rng)
+		a := matrix.RandomSPD(s.N, rng)
 		op = matrix.DenseOp{A: a}
-		rowWords = func(lo, hi int) int { return (hi - lo) * cfg.N }
+		rowWords = func(lo, hi int) int { return (hi - lo) * s.N }
 	}
-	b := make([]float64, cfg.N)
+	b := make([]float64, s.N)
 	for i := range b {
 		b[i] = 2*rng.Float64() - 1
 	}
-	ref := matrix.CG(op, b, cfg.Tol, cfg.MaxIter)
+	ref := matrix.CG(op, b, cgTol, maxIter)
 
 	// Row split per Equation (1), via the shared MV cost model in its
 	// resident arrangement: the FPGA's matrix share is loaded into SRAM
 	// once over Bd, so the per-apply balance has no Tmem term and the
 	// FPGA word rate is the slower of the MAC array and the SRAM port.
-	mvp := mvParams(&pl, mvLoad{words: rowWords(0, cfg.N), nnz: nnz, sparse: cfg.Density > 0,
-		applies: cfg.MaxIter, resident: true, vecFlops: 10 * float64(cfg.N)})
+	mvp := mvParams(&h.Plan, mvLoad{words: rowWords(0, s.N), nnz: nnz, sparse: density > 0,
+		applies: maxIter, resident: true, vecFlops: 10 * float64(s.N)})
 	fpgaPerWord := mvp.FPGAPerWord()
 	cpuPerWord := mvp.CPUPerWord()
-	rf, err := share(cfg.Mode, "rowsFPGA", cfg.RowsFPGA, cfg.N, false, func() int {
+	rf, err := share(s.Mode, "rowsFPGA", s.BF, s.N, false, func() int {
 		rf, _ := mvp.SolvePartition()
 		return rf
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	rf = clampResident(rf, sramWords(cfg.Machine), rowWords)
+	rf = clampResident(rf, sramWords(s.Machine), rowWords)
 
 	fpgaWords := rowWords(0, rf)
 	fpgaApply := float64(fpgaWords) * fpgaPerWord
-	cpuApply := float64(rowWords(rf, cfg.N)) * cpuPerWord
+	cpuApply := float64(rowWords(rf, s.N)) * cpuPerWord
 
 	// The solve, mirroring matrix.CG step for step with the operator
 	// apply split across the two resources.
-	x := make([]float64, cfg.N)
-	r := make([]float64, cfg.N)
+	x := make([]float64, s.N)
+	r := make([]float64, s.N)
 	copy(r, b)
-	pv := make([]float64, cfg.N)
+	pv := make([]float64, s.N)
 	copy(pv, r)
-	q := make([]float64, cfg.N)
+	q := make([]float64, s.N)
 	bnorm := matrix.Norm2(b)
 	rr := matrix.Dot(r, r)
 
-	res := &CGRunResult{RowsFPGA: rf, RowsCPU: cfg.N - rf, K: k}
+	res := &CGRunResult{RowsFPGA: rf, RowsCPU: s.N - rf, K: k}
 	var loadDone float64
 	sys.Eng.Go("cg.cpu", func(pr *sim.Proc) {
 		// One-time SRAM load of the FPGA's matrix share over Bd.
@@ -170,7 +162,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 			res.Converged = true
 			return
 		}
-		for it := 0; it < cfg.MaxIter; it++ {
+		for it := 0; it < maxIter; it++ {
 			// q = A·p, split by rows.
 			var done *sim.Signal
 			if rf > 0 {
@@ -179,7 +171,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 					accel.Compute(fp, fpgaApply*accel.Placed.FreqHz)
 				})
 			}
-			if rf < cfg.N {
+			if rf < s.N {
 				pr.SetPhase("apply")
 				node.ChargeCPU(pr, sim.CatCompute, 0, cpuApply)
 				pr.SetPhase("")
@@ -189,7 +181,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 				accel.AwaitDone(pr, done)
 			}
 			// Vector kernels on the processor.
-			node.ComputeCPU(pr, cpu.VectorOp, 10*float64(cfg.N))
+			node.ComputeCPU(pr, cpu.VectorOp, 10*float64(s.N))
 			pq := matrix.Dot(pv, q)
 			if pq <= 0 {
 				// Breakdown on a non-positive curvature; matrix.CG stops
@@ -201,7 +193,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 			matrix.Axpy(-alpha, q, r)
 			rrNew := matrix.Dot(r, r)
 			res.Iterations = it + 1
-			if math.Sqrt(rrNew) <= cfg.Tol*bnorm {
+			if math.Sqrt(rrNew) <= cgTol*bnorm {
 				res.Converged = true
 				rr = rrNew
 				break
@@ -215,9 +207,11 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		res.Residual = math.Sqrt(rr)
 	})
 
-	end, err := sys.Run()
+	// Both solves run the same operations in the same order, so a
+	// successful run's flops follow from the reference's iterations.
+	res.Result, err = h.finish(0, float64(ref.Iterations)*(2*float64(nnz)+10*float64(s.N)))
 	if err != nil {
-		return nil, fmt.Errorf("core: cg simulation: %w", err)
+		return nil, err
 	}
 
 	// Verify against the sequential reference: identical operations in
@@ -232,19 +226,8 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		return nil, fmt.Errorf("core: cg diverged from reference: %d/%v vs %d/%v",
 			res.Iterations, res.Converged, ref.Iterations, ref.Converged)
 	}
-
-	flops := float64(res.Iterations) * (2*float64(nnz) + 10*float64(cfg.N))
-	res.Result = Result{
-		App: "cg", Mode: cfg.Mode, N: cfg.N, B: 0,
-		Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-		NetworkBytes:  sys.Fab.Bytes(),
-		Coordinations: collectCoordinations(sys),
-		MaxResidual:   maxDiff,
-		Checked:       true,
-	}
-	res.CPUBusy, res.FPGABusy = collectBusy(sys)
+	res.MaxResidual, res.Checked = maxDiff, true
 	res.LoadSeconds = loadDone
-	summarizeTelemetry(tel, end, &res.Result)
 	return res, nil
 }
 

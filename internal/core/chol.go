@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/cpu"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -66,16 +65,13 @@ type cholJob struct {
 }
 
 type cholRun struct {
-	cfg     CholConfig
-	sys     *machine.System
-	lp      model.LUParams
-	nb      int
-	bf      int
-	l       int
-	stripes int
+	s   Spec
+	sys *machine.System
+	lp  model.LUParams
+	nb  int
+	l   int
 
-	charge   jobCharge
-	sendTime float64
+	charge jobCharge
 
 	boxes []*sim.Mailbox
 	iters []*luIter
@@ -84,7 +80,7 @@ type cholRun struct {
 }
 
 func (cr *cholRun) blk(u, v int) *matrix.Dense {
-	b := cr.cfg.B
+	b := cr.s.B
 	return cr.a.View(u*b, v*b, b, b)
 }
 
@@ -101,37 +97,30 @@ func (cr *cholRun) computeNodes(t int) []int {
 
 // RunCholesky simulates the distributed factorization.
 func RunCholesky(cfg CholConfig) (*CholResult, error) {
-	pl, err := cholPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L, Mode: cfg.Mode})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Machine = pl.Spec.Machine
-	p := cfg.Machine.Nodes
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := pl.Split.K
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
-		return nil, err
-	}
-	lp, bf, l := pl.LU, pl.Split.BF, pl.Split.L
+	return runCholesky(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L,
+		Mode: cfg.Mode, Functional: cfg.Functional, Seed: cfg.Seed, Observer: cfg.Observer, Telemetry: cfg.Telemetry})
+}
 
-	cr := &cholRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, l: l, stripes: cfg.B / k}
+// runCholesky is RunCholesky on a Spec.
+func runCholesky(s Spec) (*CholResult, error) {
+	h, err := cholPlan.start(s)
+	if err != nil {
+		return nil, err
+	}
+	s, sys := h.Spec, h.sys
+	p := s.Machine.Nodes
+	lp, bf := h.LU, h.Split.BF
 	// Per-job charges are the LU opMM charges; SYRK (diagonal) jobs
 	// halve the compute terms at run time.
-	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: cfg.B, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: sys.Nodes[0].Proc.Rate(cpu.DGEMM), bf: bf, stripes: cr.stripes}
-	cr.charge = lu.chargeForBF(bf)
-	_, _, _, tcomm := lp.StripeTimes(bf)
-	cr.sendTime = float64(cr.stripes) * tcomm
+	cr := &cholRun{s: s, sys: sys, lp: lp, nb: s.N / s.B, l: h.Split.L,
+		charge: opmmCharge(lp, bf, sys.Nodes[0].Proc.Rate(cpu.DGEMM), false)}
 
 	var ref *matrix.Dense
-	if cfg.Functional {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		cr.a = matrix.RandomSPD(cfg.N, rng)
+	if s.Functional {
+		rng := rand.New(rand.NewSource(s.Seed))
+		cr.a = matrix.RandomSPD(s.N, rng)
 		ref = cr.a.Clone()
-		if err := matrix.BlockCholesky(ref, cfg.B); err != nil {
+		if err := matrix.BlockCholesky(ref, s.B); err != nil {
 			return nil, fmt.Errorf("core: reference factorization: %w", err)
 		}
 	}
@@ -169,27 +158,13 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
+	n := float64(s.N)
+	r, err := h.finish(s.B, n*n*n/3)
 	if err != nil {
-		return nil, fmt.Errorf("core: cholesky simulation: %w", err)
+		return nil, err
 	}
-	n := float64(cfg.N)
-	flops := n * n * n / 3
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &CholResult{
-		Result: Result{
-			App: "chol", Mode: cfg.Mode, N: cfg.N, B: cfg.B,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		BF: bf, BP: cfg.B - bf, L: l, K: k,
-		Model:      lp,
-		Prediction: pl.Prediction,
-	}
-	summarizeTelemetry(tel, end, &res.Result)
-	if cfg.Functional && ref != nil {
+	res := &CholResult{Result: r, BF: bf, BP: s.B - bf, L: cr.l, K: h.Split.K, Model: lp, Prediction: h.Prediction}
+	if s.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = matrix.ExtractLower(cr.a).MaxDiff(matrix.ExtractLower(ref))
 	}
@@ -210,7 +185,7 @@ func scalePrediction(p model.Prediction, factor, flops float64) model.Prediction
 // runPanel is iteration t on the panel node: opPOTRF then the opTRSM
 // sequence, releasing trailing-update jobs l at a time.
 func (cr *cholRun) runPanel(pr *sim.Proc, node *machine.Node, t int) {
-	b := cr.cfg.B
+	b := cr.s.B
 	nb := cr.nb
 	pr.SetPhase("panel")
 	defer pr.SetPhase("")
@@ -258,7 +233,7 @@ func (cr *cholRun) runPanel(pr *sim.Proc, node *machine.Node, t int) {
 }
 
 func (cr *cholRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *cholJob) {
-	bytes := 2 * cr.cfg.B * cr.cfg.B * machine.WordBytes
+	bytes := 2 * cr.s.B * cr.s.B * machine.WordBytes
 	if j.u == j.v {
 		bytes /= 2 // SYRK needs only one panel block
 	}
@@ -281,7 +256,7 @@ func (cr *cholRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int) {
 			ci = idx
 		}
 	}
-	w := cr.cfg.B / (cr.sys.Cfg.Nodes - 1)
+	w := cr.s.B / (cr.sys.Cfg.Nodes - 1)
 	pr.SetPhase("opmm")
 	defer pr.SetPhase("")
 	for {
@@ -328,9 +303,9 @@ func (cr *cholRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int) {
 		if j.e != nil {
 			// Functional off-diagonal update slice:
 			// E[:, cols] = L_u,t · (L_v,t)ᵀ[:, cols].
-			eSlice := j.e.View(0, ci*w, cr.cfg.B, w)
+			eSlice := j.e.View(0, ci*w, cr.s.B, w)
 			bT := cr.blk(j.v, j.t).Transpose()
-			matrix.Gemm(1, cr.blk(j.u, j.t), bT.View(0, ci*w, cr.cfg.B, w), 0, eSlice)
+			matrix.Gemm(1, cr.blk(j.u, j.t), bT.View(0, ci*w, cr.s.B, w), 0, eSlice)
 		}
 		if done != nil {
 			node.Accel.AwaitDone(pr, done)
@@ -342,7 +317,7 @@ func (cr *cholRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int) {
 func (cr *cholRun) forwardResult(pr *sim.Proc, me, t int, j *cholJob) {
 	p := cr.sys.Cfg.Nodes
 	owner := j.u % p // block (u,v) lives in block-row u
-	sliceBytes := cr.cfg.B * cr.cfg.B / (p - 1) * machine.WordBytes
+	sliceBytes := cr.s.B * cr.s.B / (p - 1) * machine.WordBytes
 	if j.u == j.v {
 		sliceBytes /= 2
 	}
@@ -356,7 +331,7 @@ func (cr *cholRun) forwardResult(pr *sim.Proc, me, t int, j *cholJob) {
 	}
 	ownerNode := cr.sys.Nodes[owner]
 	it := cr.iters[t]
-	b := cr.cfg.B
+	b := cr.s.B
 	cr.sys.Eng.Go(sim.Name("chol.opms", t, j.u, j.v), func(mp *sim.Proc) {
 		mp.SetPhase("opms")
 		unpack := float64(b*b*machine.WordBytes) / cr.lp.Bn

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"codesign/internal/machine"
-	"codesign/internal/sim"
 	"codesign/internal/trace"
 )
 
@@ -87,63 +85,4 @@ func (r *Result) Utilization(busy []float64) float64 {
 		s += b
 	}
 	return s / (float64(len(busy)) * r.Seconds)
-}
-
-func collectBusy(sys *machine.System) (cpu, fpga []float64) {
-	for _, n := range sys.Nodes {
-		cpu = append(cpu, n.CPUBusy.BusySeconds())
-		if n.Accel != nil {
-			fpga = append(fpga, n.Accel.Array.BusySeconds())
-		} else {
-			fpga = append(fpga, 0)
-		}
-	}
-	return cpu, fpga
-}
-
-func collectCoordinations(sys *machine.System) int64 {
-	var c int64
-	for _, n := range sys.Nodes {
-		if n.Accel != nil {
-			c += n.Accel.Coordinations()
-		}
-	}
-	return c
-}
-
-// telemetry is where a run's Summary comes from: a span recorder and
-// the mark at which the run began recording into it. The zero value
-// means telemetry is off.
-type telemetry struct {
-	rec  *trace.Recorder
-	from trace.Mark
-}
-
-// setupTelemetry registers any caller-provided observer on the engine
-// and, when summarize is set, picks the recorder whose digest the run
-// attaches to its Result.Telemetry. A caller *trace.Recorder already
-// sees every span, so the run summarizes it from the current mark on
-// (earlier runs' spans stay out of the digest); any other observer
-// gets an internal recorder beside it.
-func setupTelemetry(eng *sim.Engine, summarize bool, obs sim.Observer) telemetry {
-	if obs != nil {
-		eng.Observe(obs)
-	}
-	if !summarize {
-		return telemetry{}
-	}
-	rec, ok := obs.(*trace.Recorder)
-	if !ok {
-		rec = trace.NewRecorder()
-		eng.Observe(rec)
-	}
-	return telemetry{rec: rec, from: rec.Mark()}
-}
-
-// summarizeTelemetry fills r.Telemetry from the run's part of the
-// recorder (no-op when telemetry was not enabled).
-func summarizeTelemetry(t telemetry, end float64, r *Result) {
-	if t.rec != nil {
-		r.Telemetry = t.rec.SummarizeSince(t.from, end)
-	}
 }

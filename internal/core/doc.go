@@ -14,7 +14,9 @@
 // (plan.go): the PE count, placement, model parameters, partition and
 // Section 4.5 prediction, resolved once. Every Run* simulates its plan,
 // and the sweep and serve layers read their closed-form model path
-// from the same plan.
+// from the same plan. The run stage (run.go) builds the machine,
+// attaches tracing and telemetry, installs the design, applies the
+// app's fault policy and fills the common Result, once for every Run*.
 //
 // Every run is a discrete-event simulation of the full distributed
 // schedule: panel factorizations, stripe broadcasts, DRAM streaming,

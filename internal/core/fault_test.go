@@ -252,3 +252,46 @@ func TestFunctionalWithFaultsRejected(t *testing.T) {
 		t.Fatal("FW accepted Functional together with Faults")
 	}
 }
+
+// Every app that takes Faults applies the fault policy it declares: an
+// empty spec runs; a node-kill spec runs only where the schedule can
+// shed a node (lu), and is otherwise rejected with the app's reason (fw's
+// contiguous block-column distribution has no surviving owner for a dead
+// node's columns); Functional with Faults is rejected, since degraded
+// mode reshapes the schedule under the real data, except by spmv, whose
+// check is always on and independent of timing.
+func TestFaultPolicy(t *testing.T) {
+	kill := &fault.Spec{Events: []fault.Event{{Kind: fault.NodeKill, Node: 3, Start: 0.0002}}}
+	for _, tc := range []struct {
+		app               string
+		run               func(Spec) error
+		kills, functional bool // whether each case is accepted
+	}{
+		{"lu", func(s Spec) error { _, err := runLU(s, luAblation{}); return err }, true, false},
+		{"fw", func(s Spec) error { _, err := runFW(s, 0); return err }, false, false},
+		{"mm", func(s Spec) error { _, err := runMM(s); return err }, false, false},
+		{"spmv", func(s Spec) error { _, err := runMV(s); return err }, false, true},
+	} {
+		for _, c := range []struct {
+			name       string
+			spec       *fault.Spec
+			functional bool
+			accept     bool
+		}{
+			{"empty", &fault.Spec{}, false, true},
+			{"node kill", kill, false, tc.kills},
+			{"functional", &fault.Spec{}, true, tc.functional},
+		} {
+			s := appDirects[tc.app].spec
+			s.Functional = c.functional
+			s.Faults = mustInjector(t, c.spec, 6)
+			err := tc.run(s)
+			if c.accept && err != nil {
+				t.Errorf("%s %s: rejected: %v", tc.app, c.name, err)
+			}
+			if !c.accept && err == nil {
+				t.Errorf("%s %s: accepted", tc.app, c.name)
+			}
+		}
+	}
+}

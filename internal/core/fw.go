@@ -79,7 +79,7 @@ type fwBcast struct {
 }
 
 type fwRun struct {
-	cfg     FWConfig
+	s       Spec
 	sys     *machine.System
 	fp      model.FWParams
 	nb      int
@@ -100,7 +100,7 @@ type fwRun struct {
 }
 
 func (fr *fwRun) blk(u, v int) *matrix.Dense {
-	b := fr.cfg.B
+	b := fr.s.B
 	return fr.d.View(u*b, v*b, b, b)
 }
 
@@ -112,38 +112,25 @@ func (fr *fwRun) owner(c int) int { return fr.cols.Owner(c) }
 // design model, simulates the distributed computation and returns the
 // measured results.
 func RunFW(cfg FWConfig) (*FWResult, error) {
-	pl, err := fwPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, L1: cfg.L1, Mode: cfg.Mode})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Machine = pl.Spec.Machine
-	p := cfg.Machine.Nodes
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	sys.Eng.Trace = cfg.Trace
-	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	design := fpga.NewFW(pl.Split.K)
-	if err := sys.InstallDesign(design); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Functional {
-			return nil, fmt.Errorf("core: functional checking cannot run under fault injection")
-		}
-		if cfg.Faults.HasDeaths() {
-			return nil, fmt.Errorf("core: fw cannot survive node kills: the contiguous block-column distribution has no surviving owner for a dead node's columns")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
-	fp := pl.FW
+	return runFW(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, L1: cfg.L1,
+		Mode: cfg.Mode, Functional: cfg.Functional, Seed: cfg.Seed, Trace: cfg.Trace,
+		Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults, Metrics: cfg.Metrics},
+		cfg.Density)
+}
 
-	fr := &fwRun{cfg: cfg, sys: sys, fp: fp, nb: cfg.N / cfg.B, l1: pl.Split.L1, l2: pl.Split.L2}
-	if cfg.Faults != nil {
-		fr.tracker = newFaultTracker(cfg.Faults)
+// runFW is RunFW on a Spec, with the functional graph's edge density
+// beside it (Spec.Density is spmv's operator density).
+func runFW(s Spec, density float64) (*FWResult, error) {
+	h, err := fwPlan.start(s)
+	if err != nil {
+		return nil, err
+	}
+	s, sys := h.Spec, h.sys
+	p := s.Machine.Nodes
+	fp := h.FW
+	fr := &fwRun{s: s, sys: sys, fp: fp, nb: s.N / s.B, l1: h.Split.L1, l2: h.Split.L2}
+	if s.Faults != nil {
+		fr.tracker = newFaultTracker(s.Faults)
 	}
 	fr.cols, err = dist.CheckedColumnBlocks(fr.nb, p)
 	if err != nil {
@@ -151,18 +138,17 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	}
 	fr.colsPer = fr.cols.PerNode()
 	fr.tp, fr.tf, fr.tmem, fr.tcomm = fp.BlockTimes()
-	fr.blockCycles = design.Cycles(cfg.B)
+	fr.blockCycles = fpga.NewFW(h.Split.K).Cycles(s.B)
 
 	var ref *matrix.Dense
-	if cfg.Functional {
-		density := cfg.Density
+	if s.Functional {
 		if density <= 0 {
 			density = 0.3
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		fr.d = matrix.RandomGraph(cfg.N, density, rng)
+		rng := rand.New(rand.NewSource(s.Seed))
+		fr.d = matrix.RandomGraph(s.N, density, rng)
 		ref = fr.d.Clone()
-		matrix.BlockedFloydWarshall(ref, cfg.B)
+		matrix.BlockedFloydWarshall(ref, s.B)
 	}
 
 	for i := 0; i < p; i++ {
@@ -184,36 +170,25 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
+	n := float64(s.N)
+	r, err := h.finish(s.B, 2*n*n*n)
 	if err != nil {
-		return nil, fmt.Errorf("core: fw simulation: %w", err)
+		return nil, err
 	}
-
-	n := float64(cfg.N)
-	flops := 2 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &FWResult{
-		Result: Result{
-			App: "fw", Mode: cfg.Mode, N: cfg.N, B: cfg.B,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		L1: fr.l1, L2: fr.l2, K: pl.Split.K,
+	res := &FWResult{Result: r,
+		L1: fr.l1, L2: fr.l2, K: h.Split.K,
 		Model:      fp,
-		Prediction: fp.PredictFW(cfg.N, fr.l1, fr.l2),
+		Prediction: fp.PredictFW(s.N, fr.l1, fr.l2),
 	}
 	prev := 0.0
 	for _, tEnd := range iterEnd {
 		res.IterationSeconds = append(res.IterationSeconds, tEnd-prev)
 		prev = tEnd
 	}
-	if cfg.Faults != nil {
+	if s.Faults != nil {
 		res.Repartitions = fr.repartitions
 	}
-	summarizeTelemetry(tel, end, &res.Result)
-	if cfg.Functional && ref != nil {
+	if s.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = fr.d.MaxDiff(ref)
 	}
@@ -255,7 +230,7 @@ func (fr *fwRun) runIteration(pr *sim.Proc, node *machine.Node, me, t int, ops [
 				// op1 on the diagonal block — on the owner's
 				// processor, except in the FPGA-only baseline.
 				nFPGA := 0
-				if fr.cfg.Mode == FPGAOnly {
+				if fr.s.Mode == FPGAOnly {
 					nFPGA = 1
 				}
 				fr.runOps(pr, node, t, ph, []fwOp{{kind: op1, u: t, v: t}}, nFPGA)
@@ -310,8 +285,8 @@ func (fr *fwRun) maybeRepartition(now float64, t int) {
 	if !fire {
 		return
 	}
-	if fr.cfg.Mode == Hybrid && fr.cfg.L1 < 0 {
-		l1, l2 := fr.fp.Repartition(fr.cfg.N, d)
+	if fr.s.Mode == Hybrid && fr.s.L1 < 0 {
+		l1, l2 := fr.fp.Repartition(fr.s.N, d)
 		total := fr.colsPer
 		if l1 > total {
 			l1, l2 = total, 0
@@ -326,7 +301,7 @@ func (fr *fwRun) maybeRepartition(now float64, t int) {
 		Live: fr.sys.Cfg.Nodes, L1: fr.l1, L2: fr.l2,
 		Factors: d.Normalized(),
 	})
-	recordRepartition(fr.cfg.Metrics, "divergence", fr.sys.Cfg.Nodes)
+	recordRepartition(fr.s.Metrics, "divergence", fr.sys.Cfg.Nodes)
 }
 
 type fwOpKind int
@@ -372,13 +347,13 @@ func (fr *fwRun) runOps(pr *sim.Proc, node *machine.Node, t, ph int, ops []fwOp,
 		})
 		// The processor streams the FPGA's operand blocks (Eq. 6
 		// charges l2·Tmem to the processor side): 2b² words per block.
-		b := fr.cfg.B
+		b := fr.s.B
 		dmaBytes := int64(len(fpgaOps)) * int64(2*b*b) * machine.WordBytes
 		cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: dmaBytes, Dt: float64(len(fpgaOps)) * fr.tmem})
 	}
 	if len(cpuOps) > 0 {
 		cs = append(cs, sim.Charge{Cat: sim.CatCompute,
-			Dt: node.Proc.Time(cpu.FWKernel, float64(len(cpuOps))*cpu.FWBlockFlops(fr.cfg.B))})
+			Dt: node.Proc.Time(cpu.FWKernel, float64(len(cpuOps))*cpu.FWBlockFlops(fr.s.B))})
 	}
 	// DMA staging and the CPU kernel fuse into one engine park.
 	node.ChargeCPUSeq(pr, cs)
@@ -419,7 +394,7 @@ func (fr *fwRun) multicast(pr *sim.Proc, me, t, ph int) {
 			dsts = append(dsts, i)
 		}
 	}
-	bytes := fr.cfg.B * fr.cfg.B * machine.WordBytes
+	bytes := fr.s.B * fr.s.B * machine.WordBytes
 	pr.SetPhase("broadcast")
 	fr.sys.Fab.Multicast(pr, me, dsts, bytes)
 	pr.SetPhase("")

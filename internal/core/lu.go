@@ -7,7 +7,6 @@ import (
 	"codesign/internal/cpu"
 	"codesign/internal/dist"
 	"codesign/internal/fault"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -143,26 +142,29 @@ func (it *luIter) first() int {
 	return it.members[0]
 }
 
+// luAblation holds LUConfig's three ablation switches, which travel
+// beside the Spec (the app table never sets them).
+type luAblation struct {
+	disableStripeOverlap, interruptibleRoutines, wholeTaskOpMM bool
+}
+
 // luRun bundles everything the node processes need.
 type luRun struct {
-	cfg     LUConfig
-	sys     *machine.System
-	lp      model.LUParams
-	nb      int
-	bf, bp  int
-	l       int
-	stripes int
+	s Spec
+	luAblation
+	sys    *machine.System
+	lp     model.LUParams
+	nb     int
+	bf, bp int
+	l      int
 
 	// per-job charge model (seconds / cycles)
 	charge jobCharge
 	// alt, when non-nil, charges odd jobs (whole-task ablation).
-	alt      *jobCharge
-	sendTime float64
+	alt *jobCharge
 
 	boxes []*sim.Mailbox
 	iters []*luIter
-
-	tel telemetry // telemetry source (zero when disabled)
 
 	a *matrix.Dense // functional matrix (nil when timing-only)
 
@@ -186,7 +188,7 @@ type luRun struct {
 }
 
 func (lr *luRun) blk(u, v int) *matrix.Dense {
-	b := lr.cfg.B
+	b := lr.s.B
 	return lr.a.View(u*b, v*b, b, b)
 }
 
@@ -216,43 +218,32 @@ func (lr *luRun) computeNodes(it *luIter) []int {
 // model, simulates the full distributed factorization and returns the
 // measured results.
 func RunLU(cfg LUConfig) (*LUResult, error) {
-	pl, err := luPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L, Mode: cfg.Mode})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Machine = pl.Spec.Machine
-	p := cfg.Machine.Nodes
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	sys.Eng.Trace = cfg.Trace
-	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := pl.Split.K
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Functional {
-			return nil, fmt.Errorf("core: functional checking cannot run under fault injection")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
-	lp, bf, l := pl.LU, pl.Split.BF, pl.Split.L
+	return runLU(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L,
+		Mode: cfg.Mode, Functional: cfg.Functional, Seed: cfg.Seed, Trace: cfg.Trace,
+		Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults, Metrics: cfg.Metrics},
+		luAblation{cfg.DisableStripeOverlap, cfg.InterruptibleRoutines, cfg.WholeTaskOpMM})
+}
 
-	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k, tel: tel}
+// runLU is RunLU on a Spec, with the ablation switches beside it.
+func runLU(s Spec, ab luAblation) (*LUResult, error) {
+	h, err := luPlan.start(s)
+	if err != nil {
+		return nil, err
+	}
+	s, sys := h.Spec, h.sys
+	p := s.Machine.Nodes
+	lp, bf := h.LU, h.Split.BF
+	lr := &luRun{s: s, luAblation: ab, sys: sys, lp: lp, nb: s.N / s.B, bf: bf, bp: s.B - bf, l: h.Split.L}
 	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	lr.gemmRate = sys.Nodes[0].Proc.Rate(cpu.DGEMM)
 	lr.lpLive = lp
-	if cfg.Faults != nil {
-		lr.inj = cfg.Faults
+	if s.Faults != nil {
+		lr.inj = s.Faults
 		lr.dyn = make(map[int]*luIter)
-		lr.tracker = newFaultTracker(cfg.Faults)
+		lr.tracker = newFaultTracker(s.Faults)
 		lr.live = make([]int, p)
 		for i := range lr.live {
 			lr.live[i] = i
@@ -262,11 +253,11 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 
 	// Functional state and reference.
 	var ref *matrix.Dense
-	if cfg.Functional {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		lr.a = matrix.RandomDiagDominant(cfg.N, rng)
+	if s.Functional {
+		rng := rand.New(rand.NewSource(s.Seed))
+		lr.a = matrix.RandomDiagDominant(s.N, rng)
 		ref = lr.a.Clone()
-		if err := matrix.BlockLU(ref, cfg.B); err != nil {
+		if err := matrix.BlockLU(ref, s.B); err != nil {
 			return nil, fmt.Errorf("core: reference factorization: %w", err)
 		}
 	}
@@ -295,7 +286,7 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 		}
 	}
 
-	return lr.execute(ref)
+	return lr.execute(h, ref)
 }
 
 // jobCharge is the per-opMM cost model on one compute node.
@@ -317,31 +308,35 @@ type jobCharge struct {
 // the NOMINAL parameters: the physical slowdown is applied once, by the
 // dilation hooks, at charge time.
 func (lr *luRun) chargeModel() {
-	switch lr.cfg.Mode {
+	charge := func(bf int) jobCharge {
+		return opmmCharge(lr.lpLive, bf, lr.gemmRate, lr.disableStripeOverlap)
+	}
+	switch lr.s.Mode {
 	case ProcessorOnly:
-		lr.charge = lr.chargeForBF(0)
+		lr.charge = charge(0)
 	case FPGAOnly:
-		lr.charge = lr.chargeForBF(lr.cfg.B)
+		lr.charge = charge(lr.s.B)
 	default:
-		if lr.cfg.WholeTaskOpMM {
+		if lr.wholeTaskOpMM {
 			// Ablation: alternate whole jobs between the resources.
-			lr.charge = lr.chargeForBF(lr.cfg.B)
-			alt := lr.chargeForBF(0)
+			lr.charge = charge(lr.s.B)
+			alt := charge(0)
 			lr.alt = &alt
 		} else {
-			lr.charge = lr.chargeForBF(lr.bf)
+			lr.charge = charge(lr.bf)
 		}
 	}
-	_, _, _, tcomm := lr.lpLive.StripeTimes(lr.bf)
-	lr.sendTime = float64(lr.stripes) * tcomm // panel node, per job multicast
 }
 
-// chargeForBF builds the per-job charges for a given row split.
-func (lr *luRun) chargeForBF(bf int) jobCharge {
-	b := float64(lr.cfg.B)
-	pm1 := float64(lr.lpLive.P - 1)
-	st := float64(lr.stripes)
-	_, tp, tmem, tcomm := lr.lpLive.StripeTimes(bf)
+// opmmCharge is the per-job charge model of one b×b opMM split at bf
+// over lp's p-1 compute nodes; gemmRate is the processor's full-rate
+// dgemm throughput and serialStripes the stripe-overlap ablation. Chol
+// and QR scale it for their trailing updates.
+func opmmCharge(lp model.LUParams, bf int, gemmRate float64, serialStripes bool) jobCharge {
+	b := float64(lp.B)
+	pm1 := float64(lp.P - 1)
+	st := float64(lp.B / lp.K)
+	_, tp, tmem, tcomm := lp.StripeTimes(bf)
 
 	var c jobCharge
 	c.cpuRecv = st * tcomm // message unpack
@@ -349,10 +344,10 @@ func (lr *luRun) chargeForBF(bf int) jobCharge {
 	case bf == 0:
 		// All software: one square-ish dgemm at the full library rate;
 		// no DMA, no FPGA.
-		c.cpuGemm = 2 * b * b * b / (pm1 * lr.gemmRate)
-	case bf == lr.cfg.B:
+		c.cpuGemm = 2 * b * b * b / (pm1 * gemmRate)
+	case bf == lp.B:
 		c.cpuDMA = st * tmem
-		c.fpgaCycles = b * b * b / (float64(lr.lpLive.K) * pm1)
+		c.fpgaCycles = b * b * b / (float64(lp.K) * pm1)
 	default:
 		c.cpuDMA = st * tmem
 		c.cpuGemm = st * tp
@@ -364,7 +359,7 @@ func (lr *luRun) chargeForBF(bf int) jobCharge {
 		c.dmaBytes = int64(float64(bf)*b+b*b/pm1) * machine.WordBytes
 	}
 	if c.fpgaCycles > 0 {
-		if lr.cfg.DisableStripeOverlap {
+		if serialStripes {
 			c.fpgaLag = st*tcomm + c.cpuDMA
 		} else {
 			c.fpgaLag = tcomm + c.cpuDMA/st // first stripe only
@@ -454,10 +449,10 @@ func (lr *luRun) maybeRepartition(now float64, t int) {
 // live parameters and rebuilds the per-job charges from the nominal
 // ones. Partition knobs the caller pinned (BF/L >= 0) stay pinned.
 func (lr *luRun) applyRepartition(now float64, t int, d model.Degradation, died bool) {
-	if lr.cfg.Mode == Hybrid && !lr.cfg.WholeTaskOpMM && lr.cfg.BF < 0 {
+	if lr.s.Mode == Hybrid && !lr.wholeTaskOpMM && lr.s.BF < 0 {
 		lr.bf, lr.bp = lr.lpLive.Degraded(d).SolvePartition()
 	}
-	if lr.cfg.L < 0 {
+	if lr.s.L < 0 {
 		lr.l = lr.lpLive.Degraded(d).SolveL(lr.bf)
 	}
 	lr.chargeModel()
@@ -469,12 +464,12 @@ func (lr *luRun) applyRepartition(now float64, t int, d model.Degradation, died 
 		Time: now, Iteration: t, Reason: reason, Live: len(lr.live),
 		BF: lr.bf, BP: lr.bp, L: lr.l, Factors: d.Normalized(),
 	})
-	recordRepartition(lr.cfg.Metrics, reason, len(lr.live))
+	recordRepartition(lr.s.Metrics, reason, len(lr.live))
 }
 
 // execute spawns the node programs, runs the simulation, and assembles
 // the results.
-func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
+func (lr *luRun) execute(h *harness, ref *matrix.Dense) (*LUResult, error) {
 	sys := lr.sys
 	p := sys.Cfg.Nodes
 	iterEnd := make([]float64, lr.nb)
@@ -504,28 +499,18 @@ func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
+	n := float64(lr.s.N)
+	r, err := h.finish(lr.s.B, 2.0/3.0*n*n*n)
 	if err != nil {
-		return nil, fmt.Errorf("core: lu simulation: %w", err)
+		return nil, err
 	}
 	if lr.failure != nil {
 		return nil, lr.failure
 	}
-
-	n := float64(lr.cfg.N)
-	flops := 2.0 / 3.0 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &LUResult{
-		Result: Result{
-			App: "lu", Mode: lr.cfg.Mode, N: lr.cfg.N, B: lr.cfg.B,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
+	res := &LUResult{Result: r,
 		BF: lr.bf, BP: lr.bp, L: lr.l, K: lr.lp.K,
 		Model:      lr.lp,
-		Prediction: lr.lp.PredictLU(lr.cfg.N, lr.bf),
+		Prediction: lr.lp.PredictLU(lr.s.N, lr.bf),
 	}
 	prev := 0.0
 	for _, t := range iterEnd {
@@ -534,10 +519,9 @@ func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
 	}
 	if lr.inj != nil {
 		res.Repartitions = lr.repartitions
-		res.DeadNodes = lr.inj.DeadBy(end)
+		res.DeadNodes = lr.inj.DeadBy(r.Seconds)
 	}
-	summarizeTelemetry(lr.tel, end, &res.Result)
-	if lr.cfg.Functional && ref != nil {
+	if lr.s.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = lr.a.MaxDiff(ref)
 	}
@@ -548,7 +532,7 @@ func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
 // sequence, releasing opMM jobs to the compute nodes l at a time
 // (Equation 5's pipeline).
 func (lr *luRun) runPanel(pr *sim.Proc, node *machine.Node, t int, it *luIter) {
-	cfg := lr.cfg
+	cfg := lr.s
 	b := cfg.B
 	nb := lr.nb
 	dsts := lr.computeNodes(it)
@@ -613,7 +597,7 @@ func (lr *luRun) runPanel(pr *sim.Proc, node *machine.Node, t int, it *luIter) {
 func (lr *luRun) newJob(t, u, v int) *luJob {
 	j := &luJob{t: t, u: u, v: v}
 	if lr.a != nil {
-		j.e = matrix.New(lr.cfg.B, lr.cfg.B)
+		j.e = matrix.New(lr.s.B, lr.s.B)
 	}
 	return j
 }
@@ -625,13 +609,13 @@ func (lr *luRun) newJob(t, u, v int) *luJob {
 // completion signal is returned so the caller can drain before sending
 // the iteration sentinel.
 func (lr *luRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *luJob, dsts []int) *sim.Signal {
-	bytes := 2 * lr.cfg.B * lr.cfg.B * machine.WordBytes
+	bytes := 2 * lr.s.B * lr.s.B * machine.WordBytes
 	deliver := func() {
 		for _, dst := range dsts {
 			lr.boxes[dst].Put(j)
 		}
 	}
-	if lr.cfg.InterruptibleRoutines {
+	if lr.interruptibleRoutines {
 		src := node.ID
 		done := sim.NewSignal(lr.sys.Eng, sim.Name("lu.sent", t, j.u, j.v))
 		lr.sys.Eng.Go(sim.Name("lu.send", t, j.u, j.v), func(sp *sim.Proc) {
@@ -661,7 +645,7 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 			ci = idx
 		}
 	}
-	w := lr.cfg.B / len(cn) // result columns per node
+	w := lr.s.B / len(cn) // result columns per node
 	pr.SetPhase("opmm")
 	defer pr.SetPhase("")
 	for {
@@ -705,8 +689,8 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 			// Functional: this node produces its column slice of
 			// E = L10_u × U01_v (both the CPU's bp rows and the
 			// FPGA's bf rows — the arithmetic is identical).
-			eSlice := j.e.View(0, ci*w, lr.cfg.B, w)
-			dSlice := lr.blk(j.t, j.v).View(0, ci*w, lr.cfg.B, w)
+			eSlice := j.e.View(0, ci*w, lr.s.B, w)
+			dSlice := lr.blk(j.t, j.v).View(0, ci*w, lr.s.B, w)
 			matrix.Gemm(1, lr.blk(j.u, j.t), dSlice, 0, eSlice)
 		}
 		if done != nil {
@@ -727,7 +711,7 @@ func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
 		owner = it.members[owner%len(it.members)]
 	}
 	nc := it.count(p) - 1 // compute nodes contributing a slice
-	sliceBytes := lr.cfg.B * lr.cfg.B / nc * machine.WordBytes
+	sliceBytes := lr.s.B * lr.s.B / nc * machine.WordBytes
 	prevPhase := pr.Phase()
 	pr.SetPhase("scatter")
 	lr.sys.Fab.Transfer(pr, me, owner, sliceBytes)
@@ -738,10 +722,10 @@ func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
 	}
 	// Last slice in: run opMS on the owner's processor.
 	ownerNode := lr.sys.Nodes[owner]
-	b := lr.cfg.B
+	b := lr.s.B
 	lr.sys.Eng.Go(sim.Name("lu.opms", t, j.u, j.v), func(mp *sim.Proc) {
 		mp.SetPhase("opms")
-		unpack := float64(lr.cfg.B*lr.cfg.B*machine.WordBytes) / lr.lp.Bn
+		unpack := float64(lr.s.B*lr.s.B*machine.WordBytes) / lr.lp.Bn
 		ownerNode.ChargeCPUSeq(mp, []sim.Charge{
 			{Cat: sim.CatNetwork, Dt: unpack},
 			{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, cpu.SubtractFlops(b))},

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/fault"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -61,46 +60,33 @@ type MMResult struct {
 
 // RunMM builds the machine and simulates the stripe-pipelined multiply.
 func RunMM(cfg MMConfig) (*MMResult, error) {
-	pl, err := mmPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, BF: cfg.BF, Mode: cfg.Mode})
+	return runMM(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, BF: cfg.BF, Mode: cfg.Mode,
+		Functional: cfg.Functional, Seed: cfg.Seed, Observer: cfg.Observer, Telemetry: cfg.Telemetry,
+		Faults: cfg.Faults})
+}
+
+// runMM is RunMM on a Spec.
+func runMM(s Spec) (*MMResult, error) {
+	h, err := mmPlan.start(s)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Machine = pl.Spec.Machine
-	p := cfg.Machine.Nodes
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := pl.Split.K
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Functional {
-			return nil, fmt.Errorf("core: functional checking cannot run under fault injection")
-		}
-		if cfg.Faults.HasDeaths() {
-			return nil, fmt.Errorf("core: mm has no surviving owner for a dead node's result columns")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
-	mp, bf := pl.MM, pl.Split.BF
+	s, sys := h.Spec, h.sys
+	p := s.Machine.Nodes
+	mp, bf, k := h.MM, h.Split.BF, h.Split.K
 
 	_, tp, tmem := mp.StripeTimes(bf)
-	stripes := cfg.N / k
+	stripes := s.N / k
 	w := mp.Width()
 	fpgaStripeCycles := float64(bf) * float64(w)
 
 	// Functional state.
 	var a, b, c, ref *matrix.Dense
-	if cfg.Functional {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		a = matrix.Random(cfg.N, cfg.N, rng)
-		b = matrix.Random(cfg.N, cfg.N, rng)
-		c = matrix.New(cfg.N, cfg.N)
+	if s.Functional {
+		rng := rand.New(rand.NewSource(s.Seed))
+		a = matrix.Random(s.N, s.N, rng)
+		b = matrix.Random(s.N, s.N, rng)
+		c = matrix.New(s.N, s.N)
 		ref = matrix.Mul(a, b)
 	}
 
@@ -113,7 +99,7 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 			acc := node.Accel
 			fpgaDone = acc.Launch(fmt.Sprintf("mm.fpga%d", me), func(fp *sim.Proc) {
 				fp.SetPhase("stripe")
-				for s := 0; s < stripes; s++ {
+				for st := 0; st < stripes; st++ {
 					fq.Get(fp)
 					acc.Compute(fp, fpgaStripeCycles)
 				}
@@ -124,13 +110,13 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 		stripeDMABytes := int64(bf*k+k*w) * machine.WordBytes
 		sys.Eng.Go(fmt.Sprintf("mm.cpu%d", me), func(pr *sim.Proc) {
 			pr.SetPhase("stripe")
-			for s := 0; s < stripes; s++ {
+			for st := 0; st < stripes; st++ {
 				if bf > 0 {
 					// Stream the stripe to the FPGA.
 					node.ChargeCPU(pr, sim.CatDMA, stripeDMABytes, tmem)
-					fq.Put(s)
+					fq.Put(st)
 				}
-				if bf < cfg.N {
+				if bf < s.N {
 					// Software rows of the stripe.
 					node.ChargeCPU(pr, sim.CatCompute, 0, tp)
 				}
@@ -139,8 +125,8 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 			if c != nil {
 				// Functional: this node's w result columns, all rows
 				// (the bf/bp split is the same arithmetic).
-				cols := c.View(0, me*w, cfg.N, w)
-				bCols := b.View(0, me*w, cfg.N, w)
+				cols := c.View(0, me*w, s.N, w)
+				bCols := b.View(0, me*w, s.N, w)
 				matrix.Gemm(1, a, bCols, 0, cols)
 			}
 			if fpgaDone != nil {
@@ -149,27 +135,13 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
+	n := float64(s.N)
+	r, err := h.finish(k, 2*n*n*n)
 	if err != nil {
-		return nil, fmt.Errorf("core: mm simulation: %w", err)
+		return nil, err
 	}
-	n := float64(cfg.N)
-	flops := 2 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &MMResult{
-		Result: Result{
-			App: "mm", Mode: cfg.Mode, N: cfg.N, B: k,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		BF: bf, BP: cfg.N - bf, K: k,
-		Model:      mp,
-		Prediction: pl.Prediction,
-	}
-	summarizeTelemetry(tel, end, &res.Result)
-	if cfg.Functional {
+	res := &MMResult{Result: r, BF: bf, BP: s.N - bf, K: k, Model: mp, Prediction: h.Prediction}
+	if s.Functional {
 		res.Checked = true
 		res.MaxResidual = c.MaxDiff(ref)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/sim"
 )
@@ -30,21 +29,13 @@ type OpMMResult struct {
 // solves Equation (4), as LUConfig.BF does.
 func RunOpMM(mc machine.Config, b, pes, bf int) (*OpMMResult, error) {
 	// One block is LU's opMM: plan it as a one-block factorization.
-	pl, err := luPlan.run(Spec{Machine: mc, N: b, B: b, PEs: pes, BF: bf, Mode: Hybrid})
+	h, err := luPlan.start(Spec{Machine: mc, N: b, B: b, PEs: pes, BF: bf, Mode: Hybrid})
 	if err != nil {
 		return nil, err
 	}
-	mc = pl.Spec.Machine
-	p := mc.Nodes
-	sys, err := machine.New(mc)
-	if err != nil {
-		return nil, err
-	}
-	k, lp := pl.Split.K, pl.LU
-	bf = pl.Split.BF
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
-		return nil, err
-	}
+	sys := h.sys
+	p := sys.Cfg.Nodes
+	k, lp, bf := h.Split.K, h.LU, h.Split.BF
 	tf, tp, tmem, tcomm := lp.StripeTimes(bf)
 	stripes := b / k
 	fpgaStripeCycles := float64(bf) * float64(b) / float64(p-1)
@@ -126,13 +117,13 @@ func RunOpMM(mc machine.Config, b, pes, bf int) (*OpMMResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
+	r, err := h.finish(b, 0)
 	if err != nil {
-		return nil, fmt.Errorf("core: opMM simulation: %w", err)
+		return nil, err
 	}
 	return &OpMMResult{
 		BF: bf, BP: b - bf, B: b, K: k,
-		Seconds:  end,
+		Seconds:  r.Seconds,
 		StripeTf: tf, StripeTp: tp, StripeTmem: tmem, StripeTcomm: tcomm,
 	}, nil
 }

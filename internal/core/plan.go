@@ -181,6 +181,8 @@ type planner struct {
 	// app without a closed-form model, whose noModel says why.
 	model   func(pl Plan, m Memo) (Plan, error)
 	noModel string
+	// faults is the run stage's fault policy (run.go).
+	faults faultPolicy
 }
 
 // plan resolves, in order: the machine, the PE count (largest fitting
@@ -220,16 +222,6 @@ func (pr *planner) plan(s Spec, m Memo) (Plan, error) {
 		return pl, nil
 	}
 	return pr.model(pl, m)
-}
-
-// run plans s for a Run* call: no memo, and errors carry the package
-// prefix.
-func (pr *planner) run(s Spec) (Plan, error) {
-	pl, err := pr.plan(s, nil)
-	if err != nil {
-		return pl, fmt.Errorf("core: %w", err)
-	}
-	return pl, nil
 }
 
 // share resolves one partition share of total through the design
@@ -335,6 +327,7 @@ var (
 	})
 
 	fwPlan = planner{name: "fw", family: fwArray,
+		faults: faultPolicy{kills: "fw cannot survive node kills: the contiguous block-column distribution has no surviving owner for a dead node's columns"},
 		check: func(s Spec, p, k int) error {
 			switch b := s.B; {
 			case b*p == 0 || s.N%(b*p) != 0:
@@ -367,6 +360,7 @@ var (
 		}}
 
 	mmPlan = planner{name: "mm", family: matmulArray,
+		faults: faultPolicy{kills: "mm has no surviving owner for a dead node's result columns"},
 		check: func(s Spec, p, k int) error {
 			switch n := s.N; {
 			case n%k != 0:
@@ -397,6 +391,7 @@ var (
 		}}
 
 	spmvPlan = planner{name: "spmv", family: mvArray,
+		faults: faultPolicy{kills: "spmv runs on a single node and cannot survive node kills", alwaysChecked: true},
 		check: func(s Spec, _, _ int) error {
 			if s.Density < 0 || s.Density > 1 {
 				return fmt.Errorf("density %g out of [0,1]", s.Density)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/cpu"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -63,32 +62,27 @@ type qrBcast struct{ t int }
 
 // RunQR simulates the distributed factorization.
 func RunQR(cfg QRConfig) (*QRResult, error) {
-	pl, err := qrPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, Mode: cfg.Mode})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Machine = pl.Spec.Machine
-	p := cfg.Machine.Nodes
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := pl.Split.K
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
-		return nil, err
-	}
-	lp, bf := pl.LU, pl.Split.BF
+	return runQR(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, Mode: cfg.Mode,
+		Functional: cfg.Functional, Seed: cfg.Seed, Observer: cfg.Observer, Telemetry: cfg.Telemetry})
+}
 
-	nb := cfg.N / cfg.B
-	b := cfg.B
+// runQR is RunQR on a Spec.
+func runQR(s Spec) (*QRResult, error) {
+	h, err := qrPlan.start(s)
+	if err != nil {
+		return nil, err
+	}
+	s, sys := h.Spec, h.sys
+	p := s.Machine.Nodes
+	lp, bf := h.LU, h.Split.BF
+	nb := s.N / s.B
+	b := s.B
 
 	// Per-node LU opMM charge (2b³/(p-1) flops at split bf). A QR
 	// trailing-column job is collective like opMM: each of the p-1
 	// compute nodes applies the panel to its b/(p-1) column slice,
 	// 4·rows·b²/(p-1) flops — the LU charge scaled by 2·rows/b.
-	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: b, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: sys.Nodes[0].Proc.Rate(cpu.DGEMM), bf: bf, stripes: b / k}
-	baseCharge := lu.chargeForBF(bf)
+	baseCharge := opmmCharge(lp, bf, sys.Nodes[0].Proc.Rate(cpu.DGEMM), false)
 	chargeFor := func(rows int) jobCharge {
 		s := 2 * float64(rows) / float64(b)
 		c := baseCharge
@@ -103,12 +97,12 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 	// Functional state.
 	var a, ref *matrix.Dense
 	var tau []float64
-	if cfg.Functional {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		a = matrix.Random(cfg.N, cfg.N, rng)
+	if s.Functional {
+		rng := rand.New(rand.NewSource(s.Seed))
+		a = matrix.Random(s.N, s.N, rng)
 		ref = a.Clone()
 		matrix.BlockQR(ref, b)
-		tau = make([]float64, cfg.N)
+		tau = make([]float64, s.N)
 	}
 
 	bcast := make([]*sim.Mailbox, p)
@@ -131,7 +125,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 		me := i
 		sys.Eng.Go(fmt.Sprintf("node%d.cpu", me), func(pr *sim.Proc) {
 			for t := 0; t < nb; t++ {
-				rows := cfg.N - t*b
+				rows := s.N - t*b
 				panelBytes := rows * b * machine.WordBytes
 				if me == t%p {
 					panelReady[t].Wait(pr)
@@ -214,27 +208,13 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
+	n := float64(s.N)
+	r, err := h.finish(b, 4.0/3.0*n*n*n)
 	if err != nil {
-		return nil, fmt.Errorf("core: qr simulation: %w", err)
+		return nil, err
 	}
-	n := float64(cfg.N)
-	flops := 4.0 / 3.0 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &QRResult{
-		Result: Result{
-			App: "qr", Mode: cfg.Mode, N: cfg.N, B: b,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		BF: bf, BP: b - bf, K: k,
-		Model:      lp,
-		Prediction: pl.Prediction,
-	}
-	summarizeTelemetry(tel, end, &res.Result)
-	if cfg.Functional && ref != nil {
+	res := &QRResult{Result: r, BF: bf, BP: b - bf, K: h.Split.K, Model: lp, Prediction: h.Prediction}
+	if s.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = a.MaxDiff(ref)
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/fault"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -85,7 +84,8 @@ type SpMVResult struct {
 // streamed operator apply, verifying the result against the sequential
 // reference apply.
 func RunSpMV(cfg SpMVConfig) (*SpMVResult, error) {
-	return runMV(cfg, 1)
+	cfg.RHS = 1
+	return runMV(cfg.spec())
 }
 
 // RunSpMM repeatedly applies the operator (cfg.RHS right-hand sides,
@@ -94,59 +94,50 @@ func RunSpMV(cfg SpMVConfig) (*SpMVResult, error) {
 // applies (the CG arrangement); otherwise every apply re-streams the
 // share from DRAM.
 func RunSpMM(cfg SpMVConfig) (*SpMVResult, error) {
-	applies := cfg.RHS
-	if applies <= 0 {
-		applies = 32
+	if cfg.RHS <= 0 {
+		cfg.RHS = 32
 	}
-	return runMV(cfg, applies)
+	return runMV(cfg.spec())
 }
 
-func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
-	pl, err := spmvPlan.run(Spec{Machine: cfg.Machine, N: cfg.N, Density: cfg.Density, RHS: applies,
-		PEs: cfg.PEs, BF: cfg.RowsFPGA, Mode: cfg.Mode})
+// spec converts the config; RHS is the apply count.
+func (cfg SpMVConfig) spec() Spec {
+	return Spec{Machine: cfg.Machine, N: cfg.N, Density: cfg.Density, RHS: cfg.RHS, PEs: cfg.PEs,
+		BF: cfg.RowsFPGA, Mode: cfg.Mode, Seed: cfg.Seed, Observer: cfg.Observer,
+		Telemetry: cfg.Telemetry, Faults: cfg.Faults}
+}
+
+// runMV applies the operator s.RHS times (at least once).
+func runMV(s Spec) (*SpMVResult, error) {
+	h, err := spmvPlan.start(s)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Machine = pl.Spec.Machine
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	tel := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := pl.Split.K
-	if err := sys.InstallDesign(fpga.NewMV(k)); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Faults.HasDeaths() {
-			return nil, fmt.Errorf("core: spmv runs on a single node and cannot survive node kills")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
+	s, sys := h.Spec, h.sys
+	applies := max(s.RHS, 1)
+	k := h.Split.K
 	node := sys.Nodes[0]
 	accel := node.Accel
-	mvp, rf := pl.MV, pl.Split.BF
+	mvp, rf := h.MV, h.Split.BF
 	resident := mvp.Resident
 
 	// Build the operator the plan priced.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(s.Seed))
 	var op matrix.MulVec
 	var rowWords func(lo, hi int) int
 	var nnz int
-	if cfg.Density > 0 {
-		sp := matrix.RandomSparse(cfg.N, cfg.Density, rng)
+	if s.Density > 0 {
+		sp := matrix.RandomSparse(s.N, s.Density, rng)
 		op = sp
 		nnz = sp.NNZ()
 		rowWords = func(lo, hi int) int { return model.CSRStreamWords(sp.RangeNNZ(lo, hi)) }
 	} else {
-		a := matrix.Random(cfg.N, cfg.N, rng)
+		a := matrix.Random(s.N, s.N, rng)
 		op = matrix.DenseOp{A: a}
-		nnz = cfg.N * cfg.N
-		rowWords = func(lo, hi int) int { return (hi - lo) * cfg.N }
+		nnz = s.N * s.N
+		rowWords = func(lo, hi int) int { return (hi - lo) * s.N }
 	}
-	totalWords := rowWords(0, cfg.N)
+	totalWords := rowWords(0, s.N)
 	if totalWords != mvp.Words {
 		return nil, fmt.Errorf("core: spmv operator streams %d words, its plan priced %d", totalWords, mvp.Words)
 	}
@@ -167,14 +158,14 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 
 	// Functional state: a repeated-apply (power) chain, normalized each
 	// step, run identically through the split kernels and the reference.
-	x := make([]float64, cfg.N)
+	x := make([]float64, s.N)
 	for i := range x {
 		x[i] = 2*rng.Float64() - 1
 	}
-	y := make([]float64, cfg.N)
-	yRef := make([]float64, cfg.N)
+	y := make([]float64, s.N)
+	yRef := make([]float64, s.N)
 
-	res := &SpMVResult{RowsFPGA: rf, RowsCPU: cfg.N - rf, K: k,
+	res := &SpMVResult{RowsFPGA: rf, RowsCPU: s.N - rf, K: k,
 		NNZ: nnz, Words: totalWords, Applies: applies, Resident: resident}
 	var maxDiff, loadDone float64
 	sys.Eng.Go("spmv.cpu", func(pr *sim.Proc) {
@@ -222,9 +213,9 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 					pr.SetPhase("")
 				}
 			}
-			if rf < cfg.N {
+			if rf < s.N {
 				pr.SetPhase(phase)
-				node.ChargeCPU(pr, sim.CatCompute, 0, float64(rowWords(rf, cfg.N))*cpuPerWord)
+				node.ChargeCPU(pr, sim.CatCompute, 0, float64(rowWords(rf, s.N))*cpuPerWord)
 				pr.SetPhase("")
 			}
 			applyOpSplit(op, x, y, rf)
@@ -251,27 +242,16 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		}
 	})
 
-	end, err := sys.Run()
+	res.Result, err = h.finish(k, flops)
 	if err != nil {
-		return nil, fmt.Errorf("core: spmv simulation: %w", err)
+		return nil, err
 	}
-
-	app := "spmv"
 	if applies > 1 {
-		app = "spmm"
+		res.App = "spmm"
 	}
-	res.Result = Result{
-		App: app, Mode: cfg.Mode, N: cfg.N, B: k,
-		Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-		NetworkBytes:  sys.Fab.Bytes(),
-		Coordinations: collectCoordinations(sys),
-		MaxResidual:   maxDiff,
-		Checked:       true,
-	}
-	res.CPUBusy, res.FPGABusy = collectBusy(sys)
+	res.MaxResidual, res.Checked = maxDiff, true
 	res.Model = mvp
-	res.Prediction = pl.Prediction
+	res.Prediction = h.Prediction
 	res.LoadSeconds = loadDone
-	summarizeTelemetry(tel, end, &res.Result)
 	return res, nil
 }
