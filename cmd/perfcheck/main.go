@@ -168,7 +168,7 @@ func run() error {
 	if *update {
 		doc := Baseline{
 			Schema:     1,
-			Note:       "Wall-clock perf baseline. Regenerate: go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkSimEngine|BenchmarkLUFullSimulation|BenchmarkFWTelemetry|BenchmarkDesignSpaceSweep|BenchmarkSpMVSweep|BenchmarkSolveCached|BenchmarkRandomSPD' -benchtime=10x -benchmem . > bench.txt && go test -run '^$' -bench 'BenchmarkScreenedSweep' -benchtime=1x -benchmem . >> bench.txt && go test -run '^$' -bench . -benchtime=100x -benchmem ./internal/sim/ >> bench.txt && go run ./cmd/perfcheck -update bench.txt",
+			Note:       "Wall-clock perf baseline. Regenerate: go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkSimEngine|BenchmarkLUFullSimulation|BenchmarkFWFullSimulation|BenchmarkFWTelemetry|BenchmarkDesignSpaceSweep|BenchmarkSpMVSweep|BenchmarkSolveCached|BenchmarkRandomSPD' -benchtime=10x -benchmem . > bench.txt && go test -run '^$' -bench 'BenchmarkScreenedSweep' -benchtime=1x -benchmem . >> bench.txt && go test -run '^$' -bench . -benchtime=100x -benchmem ./internal/sim/ >> bench.txt && go run ./cmd/perfcheck -update bench.txt",
 			Benchmarks: got,
 		}
 		b, err := json.MarshalIndent(doc, "", "  ")

@@ -151,10 +151,7 @@ func runCG(s Spec, density float64) (*CGRunResult, error) {
 		// One-time SRAM load of the FPGA's matrix share over Bd.
 		if rf > 0 {
 			pr.SetPhase("load")
-			accel.Run(pr, "cg.load", func(fp *sim.Proc) {
-				fp.SetPhase("load")
-				accel.Stream(fp, fpgaWords*machine.WordBytes)
-			})
+			accel.Run(pr, "cg.load", "load", accel.Stream(fpgaWords*machine.WordBytes))
 			pr.SetPhase("")
 		}
 		loadDone = pr.Now()
@@ -166,10 +163,8 @@ func runCG(s Spec, density float64) (*CGRunResult, error) {
 			// q = A·p, split by rows.
 			var done *sim.Signal
 			if rf > 0 {
-				done = accel.Launch(fmt.Sprintf("cg.mv.%d", it), func(fp *sim.Proc) {
-					fp.SetPhase("apply")
-					accel.Compute(fp, fpgaApply*accel.Placed.FreqHz)
-				})
+				done = accel.Launch(fmt.Sprintf("cg.mv.%d", it), "apply",
+					accel.Compute(fpgaApply*accel.Placed.FreqHz))
 			}
 			if rf < s.N {
 				pr.SetPhase("apply")

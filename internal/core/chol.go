@@ -281,11 +281,8 @@ func (cr *cholRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int) {
 		var done *sim.Signal
 		if ch.fpgaCycles > 0 {
 			a := node.Accel
-			done = a.Launch(sim.Name("chol.fpga", t, j.u, j.v, me), func(fp *sim.Proc) {
-				fp.SetPhase("opmm")
-				a.WaitOperands(fp, ch.fpgaLag)
-				a.Compute(fp, ch.fpgaCycles)
-			})
+			done = a.Launch(sim.Name("chol.fpga", t, j.u, j.v, me), "opmm",
+				a.WaitOperands(ch.fpgaLag), a.Compute(ch.fpgaCycles))
 		}
 		// The three CPU charges fuse into one engine park (ChargeCPUSeq).
 		var seq [3]sim.Charge

@@ -91,6 +91,9 @@ type fwRun struct {
 	blockCycles         float64
 
 	bcast []*sim.Mailbox
+	// peers[i] lists every node but i: node i's multicast
+	// destinations, built once per run.
+	peers [][]int
 
 	d *matrix.Dense // functional distance matrix
 
@@ -151,8 +154,14 @@ func runFW(s Spec, density float64) (*FWResult, error) {
 		matrix.BlockedFloydWarshall(ref, s.B)
 	}
 
+	fr.peers = make([][]int, p)
 	for i := 0; i < p; i++ {
 		fr.bcast = append(fr.bcast, sim.NewMailbox(sys.Eng, fmt.Sprintf("fw.bcast%d", i)))
+		for d := 0; d < p; d++ {
+			if d != i {
+				fr.peers[i] = append(fr.peers[i], d)
+			}
+		}
 	}
 
 	iterEnd := make([]float64, fr.nb)
@@ -340,11 +349,7 @@ func (fr *fwRun) runOps(pr *sim.Proc, node *machine.Node, t, ph int, ops []fwOp,
 		a := node.Accel
 		cycles := float64(len(fpgaOps)) * fr.blockCycles
 		lag := fr.tmem // first block's stream exposed
-		done = a.Launch(sim.Name("fw.fpga", t, ph, node.ID), func(fp *sim.Proc) {
-			fp.SetPhase("op")
-			a.WaitOperands(fp, lag)
-			a.Compute(fp, cycles)
-		})
+		done = a.Launch(sim.Name("fw.fpga", t, ph, node.ID), "op", a.WaitOperands(lag), a.Compute(cycles))
 		// The processor streams the FPGA's operand blocks (Eq. 6
 		// charges l2·Tmem to the processor side): 2b² words per block.
 		b := fr.s.B
@@ -384,15 +389,9 @@ func (fr *fwRun) apply(op fwOp, t int) {
 // multicast broadcasts a b×b block to all other nodes (the phase's
 // pivot data) and delivers the token.
 func (fr *fwRun) multicast(pr *sim.Proc, me, t, ph int) {
-	p := fr.sys.Cfg.Nodes
-	if p == 1 {
+	dsts := fr.peers[me]
+	if len(dsts) == 0 {
 		return
-	}
-	dsts := make([]int, 0, p-1)
-	for i := 0; i < p; i++ {
-		if i != me {
-			dsts = append(dsts, i)
-		}
 	}
 	bytes := fr.s.B * fr.s.B * machine.WordBytes
 	pr.SetPhase("broadcast")

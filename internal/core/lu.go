@@ -662,11 +662,8 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 		var done *sim.Signal
 		if ch.fpgaCycles > 0 {
 			a := node.Accel
-			done = a.Launch(sim.Name("lu.fpga", t, j.u, j.v, me), func(fp *sim.Proc) {
-				fp.SetPhase("opmm")
-				a.WaitOperands(fp, ch.fpgaLag)
-				a.Compute(fp, ch.fpgaCycles)
-			})
+			done = a.Launch(sim.Name("lu.fpga", t, j.u, j.v, me), "opmm",
+				a.WaitOperands(ch.fpgaLag), a.Compute(ch.fpgaCycles))
 		}
 		// CPU share: unpack the operand messages, stream the FPGA's
 		// operands to it, then run the software half of the multiply.

@@ -97,11 +97,11 @@ func runMM(s Spec) (*MMResult, error) {
 		fq := sim.NewMailbox(sys.Eng, fmt.Sprintf("mm.fq%d", me))
 		if bf > 0 {
 			acc := node.Accel
-			fpgaDone = acc.Launch(fmt.Sprintf("mm.fpga%d", me), func(fp *sim.Proc) {
+			fpgaDone = acc.LaunchProc(fmt.Sprintf("mm.fpga%d", me), func(fp *sim.Proc) {
 				fp.SetPhase("stripe")
 				for st := 0; st < stripes; st++ {
 					fq.Get(fp)
-					acc.Compute(fp, fpgaStripeCycles)
+					fp.Do(acc.Compute(fpgaStripeCycles))
 				}
 			})
 		}

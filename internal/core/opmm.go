@@ -76,7 +76,7 @@ func RunOpMM(mc machine.Config, b, pes, bf int) (*OpMMResult, error) {
 				fp.SetPhase("stripe")
 				for s := 0; s < stripes; s++ {
 					fpgaQ[me].Get(fp)
-					a.Compute(fp, fpgaStripeCycles)
+					fp.Do(a.Compute(fpgaStripeCycles))
 				}
 				fpgaDone.Fire()
 			})

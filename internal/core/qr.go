@@ -168,11 +168,8 @@ func runQR(s Spec) (*QRResult, error) {
 					var done *sim.Signal
 					if ch.fpgaCycles > 0 {
 						acc := node.Accel
-						done = acc.Launch(sim.Name("qr.fpga", t, j, me), func(fp *sim.Proc) {
-							fp.SetPhase("update")
-							acc.WaitOperands(fp, ch.fpgaLag)
-							acc.Compute(fp, ch.fpgaCycles)
-						})
+						done = acc.Launch(sim.Name("qr.fpga", t, j, me), "update",
+							acc.WaitOperands(ch.fpgaLag), acc.Compute(ch.fpgaCycles))
 					}
 					// The CPU charges fuse into one engine park.
 					var seq [2]sim.Charge

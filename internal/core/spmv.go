@@ -171,10 +171,7 @@ func runMV(s Spec) (*SpMVResult, error) {
 	sys.Eng.Go("spmv.cpu", func(pr *sim.Proc) {
 		if resident && rf > 0 {
 			pr.SetPhase("load")
-			accel.Run(pr, "spmv.load", func(fp *sim.Proc) {
-				fp.SetPhase("load")
-				accel.Stream(fp, fpgaWords*machine.WordBytes)
-			})
+			accel.Run(pr, "spmv.load", "load", accel.Stream(fpgaWords*machine.WordBytes))
 			pr.SetPhase("")
 			loadDone = pr.Now()
 		}
@@ -182,13 +179,11 @@ func runMV(s Spec) (*SpMVResult, error) {
 			var done *sim.Signal
 			if rf > 0 {
 				if resident {
-					done = accel.Launch(fmt.Sprintf("spmv.mv.%d", a), func(fp *sim.Proc) {
-						fp.SetPhase(phase)
-						accel.Compute(fp, float64(fpgaWords)*fpgaPerWord*accel.Placed.FreqHz)
-					})
+					done = accel.Launch(fmt.Sprintf("spmv.mv.%d", a), phase,
+						accel.Compute(float64(fpgaWords)*fpgaPerWord*accel.Placed.FreqHz))
 				} else {
 					fq := sim.NewMailbox(sys.Eng, fmt.Sprintf("spmv.fq.%d", a))
-					done = accel.Launch(fmt.Sprintf("spmv.mv.%d", a), func(fp *sim.Proc) {
+					done = accel.LaunchProc(fmt.Sprintf("spmv.mv.%d", a), func(fp *sim.Proc) {
 						fp.SetPhase(phase)
 						for lo := 0; lo < rf; lo += chunkRows {
 							hi := lo + chunkRows
@@ -196,7 +191,7 @@ func runMV(s Spec) (*SpMVResult, error) {
 								hi = rf
 							}
 							fq.Get(fp)
-							accel.Compute(fp, float64(rowWords(lo, hi))/float64(k))
+							fp.Do(accel.Compute(float64(rowWords(lo, hi)) / float64(k)))
 						}
 					})
 					pr.SetPhase(phase)

@@ -225,7 +225,7 @@ type Accelerator struct {
 	// Array serializes use of the PE array.
 	Array *sim.Resource
 	// fillName is the precomputed Array.Name()+".fill" stage name:
-	// WaitOperands runs once per FPGA job, so building the string
+	// WaitOperands builds a step per FPGA job, so building the string
 	// there showed up in sweep allocation profiles.
 	fillName      string
 	node          *Node
@@ -275,11 +275,24 @@ func (s *System) InstallDesign(d fpga.Design) error {
 // device.
 func (a *Accelerator) ConfigTime() float64 { return a.node.Device.ConfigSeconds }
 
-// Launch starts an FPGA job (the processor writing the start register,
-// Section 4.4) and returns a signal that fires when the job is done
-// (the status register). run executes as its own process and should
-// charge Array/DRAM time itself.
-func (a *Accelerator) Launch(name string, run func(fp *sim.Proc)) *sim.Signal {
+// Launch starts an FPGA job: the processor writes the start register
+// (Section 4.4) and the fixed-latency datapath runs steps — built by
+// WaitOperands, Compute and Stream — in order, every span carrying the
+// phase annotation. It returns the status register, a signal that
+// fires when the last step ends. The job runs in the engine's
+// scheduler context (sim.Engine.Launch), with no process of its own.
+func (a *Accelerator) Launch(name, phase string, steps ...sim.Step) *sim.Signal {
+	a.coordinations++ // start-register write
+	a.jobs++
+	return a.node.sys.Eng.Launch(name, phase, steps)
+}
+
+// LaunchProc starts an FPGA job whose body blocks between its charges
+// — on a mailbox the processor feeds stripe by stripe — and so runs as
+// a process of its own; straight-line jobs use Launch. run charges the
+// array with fp.Do(a.Compute(...)). Coordination accounting matches
+// Launch.
+func (a *Accelerator) LaunchProc(name string, run func(fp *sim.Proc)) *sim.Signal {
 	a.coordinations++ // start-register write
 	a.jobs++
 	done := sim.NewSignal(a.node.sys.Eng, name+".done")
@@ -293,38 +306,35 @@ func (a *Accelerator) Launch(name string, run func(fp *sim.Proc)) *sim.Signal {
 // AwaitDone blocks the processor on the job's status register.
 func (a *Accelerator) AwaitDone(p *sim.Proc, done *sim.Signal) {
 	a.coordinations++ // status-register poll observing completion
-	done.Wait(p)
+	a.node.sys.Eng.Await(p, done)
 }
 
 // Run launches a job and immediately blocks until it completes.
-func (a *Accelerator) Run(p *sim.Proc, name string, run func(fp *sim.Proc)) {
-	a.AwaitDone(p, a.Launch(name, run))
+func (a *Accelerator) Run(p *sim.Proc, name, phase string, steps ...sim.Step) {
+	a.AwaitDone(p, a.Launch(name, phase, steps...))
 }
 
-// Compute charges the PE array with a cycle count at the placed clock.
-// The hold is emitted as an FPGA compute span on the array resource.
-// With a fault hook installed the nominal duration is dilated first, so
-// a reconfiguration stall stretches the same span a healthy run emits.
-func (a *Accelerator) Compute(fp *sim.Proc, cycles float64) {
-	dt := a.Placed.CyclesToSeconds(cycles)
-	if a.dilate != nil {
-		dt = a.dilate(a.node.sys.Eng.Now(), dt)
-	}
-	a.Array.UseCat(fp, sim.CatCompute, 0, dt)
+// Compute returns the step that charges the PE array with a cycle
+// count at the placed clock, emitted as an FPGA compute span on the
+// array resource. With a fault hook installed the nominal duration is
+// dilated when the step starts, so a reconfiguration stall stretches
+// the same span a healthy run emits.
+func (a *Accelerator) Compute(cycles float64) sim.Step {
+	return sim.Step{Charge: sim.Charge{Cat: sim.CatCompute, Dt: a.Placed.CyclesToSeconds(cycles)},
+		Res: a.Array, Dilate: a.dilate}
 }
 
-// WaitOperands charges the FPGA job dt seconds of operand staging —
-// pipeline-fill lag while the processor streams the first operands in —
-// emitted as a DMA span against the array's fill stage so overlap
-// accounting attributes it to memory traffic, not FPGA compute. The lag
-// rides the DRAM path, so it degrades with the same Bd faults as
-// explicit streams.
-func (a *Accelerator) WaitOperands(fp *sim.Proc, dt float64) {
-	fp.WaitSpanOn(sim.CatDMA, sim.DeviceDRAM, a.fillName, 0, a.DRAM.Dilated(fp.Now(), dt))
-}
+// WaitOperands returns the step that charges the FPGA job dt seconds
+// of operand staging — pipeline-fill lag while the processor streams
+// the first operands in — emitted as a DMA span against the array's
+// fill stage so overlap accounting attributes it to memory traffic,
+// not FPGA compute. The lag rides the DRAM path, so it degrades with
+// the same Bd faults as explicit streams.
+func (a *Accelerator) WaitOperands(dt float64) sim.Step { return a.DRAM.Fill(a.fillName, dt) }
 
-// Stream charges a DRAM<->FPGA transfer of the given bytes.
-func (a *Accelerator) Stream(fp *sim.Proc, bytes int) { a.DRAM.Stream(fp, bytes) }
+// Stream returns the step that charges a DRAM<->FPGA transfer of the
+// given bytes.
+func (a *Accelerator) Stream(bytes int) sim.Step { return a.DRAM.Stream(bytes) }
 
 // Coordinations returns processor<->FPGA register handshakes so far.
 func (a *Accelerator) Coordinations() int64 { return a.coordinations }

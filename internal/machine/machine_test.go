@@ -139,9 +139,7 @@ func TestAcceleratorLaunchOverlapsCPU(t *testing.T) {
 	s.Spawn(0, func(p *sim.Proc, r *mpi.Rank, n *Node) {
 		a := n.Accel
 		// FPGA job: 2 virtual seconds of array time.
-		done := a.Launch("fpga-job", func(fp *sim.Proc) {
-			a.Compute(fp, 2*a.Placed.FreqHz)
-		})
+		done := a.Launch("fpga-job", "", a.Compute(2*a.Placed.FreqHz))
 		// CPU does 1 second of its own work concurrently.
 		n.ComputeCPU(p, cpu.DGEMM, 3.9e9)
 		cpuDone = p.Now()
@@ -162,6 +160,33 @@ func TestAcceleratorLaunchOverlapsCPU(t *testing.T) {
 	}
 }
 
+// An array fault hook stretches a job's compute step, evaluated when
+// the step starts (after the operand fill), not when the job launches.
+func TestAcceleratorComputeDilation(t *testing.T) {
+	s, err := New(XD1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InstallDesign(fpga.NewMatMul(8)); err != nil {
+		t.Fatal(err)
+	}
+	a := s.Nodes[0].Accel
+	a.SetDilation(func(start, dt float64) float64 { return dt + start })
+	var end float64
+	s.Spawn(0, func(p *sim.Proc, r *mpi.Rank, n *Node) {
+		p.Wait(1)
+		a.Run(p, "fpga-job", "op", a.WaitOperands(0.5), a.Compute(2*a.Placed.FreqHz))
+		end = p.Now()
+	})
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Compute starts at 1.5 and is dilated to 2 + 1.5 seconds.
+	if math.Abs(end-5) > 1e-9 {
+		t.Fatalf("job done at %v, want 5", end)
+	}
+}
+
 func TestAcceleratorStreamChargesBd(t *testing.T) {
 	s, err := New(XD1())
 	if err != nil {
@@ -173,9 +198,7 @@ func TestAcceleratorStreamChargesBd(t *testing.T) {
 	a := s.Nodes[0].Accel
 	bytes := int(a.DRAM.BandwidthBytes) // exactly one second of streaming
 	s.Spawn(0, func(p *sim.Proc, r *mpi.Rank, n *Node) {
-		a.Run(p, "stream-job", func(fp *sim.Proc) {
-			a.Stream(fp, bytes)
-		})
+		a.Run(p, "stream-job", "", a.Stream(bytes))
 	})
 	end, err := s.Run()
 	if err != nil {

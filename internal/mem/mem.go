@@ -40,26 +40,25 @@ func (d *DRAM) StreamTime(bytes int) float64 { return float64(bytes) / d.Bandwid
 // none is installed.
 func (d *DRAM) SetDilation(f func(start, dt float64) float64) { d.dilate = f }
 
-// Dilated applies the installed dilation hook to a nominal duration
-// (identity when no hook is installed). Exposed so charges modeled off
-// the DRAM path — the accelerator's operand fill lag — degrade with the
-// same Bd faults as explicit streams.
-func (d *DRAM) Dilated(start, dt float64) float64 {
-	if d.dilate == nil {
-		return dt
-	}
-	return d.dilate(start, dt)
+// Fill returns a resource-free DMA step of dt seconds named name: a
+// charge modeled off the DRAM path (the accelerator's operand fill
+// lag) that degrades with the same Bd faults as explicit streams.
+func (d *DRAM) Fill(name string, dt float64) sim.Step {
+	return sim.Step{Charge: sim.Charge{Cat: sim.CatDMA, Dt: dt},
+		Dev: sim.DeviceDRAM, Name: name, Dilate: d.dilate}
 }
 
-// Stream transfers bytes between DRAM and the FPGA, blocking the calling
-// process for bytes/Bd plus any channel queueing. The transfer is
-// emitted as a DMA span carrying the payload size.
-func (d *DRAM) Stream(p *sim.Proc, bytes int) {
+// Stream returns the step that transfers bytes between DRAM and the
+// FPGA: it holds the streaming channel for bytes/Bd after any
+// queueing, and is emitted as a DMA span carrying the payload size.
+// The bytes count toward BytesStreamed when the step is built.
+func (d *DRAM) Stream(bytes int) sim.Step {
 	if bytes < 0 {
 		panic(fmt.Sprintf("mem: negative stream size %d", bytes))
 	}
 	d.bytesStreamed += int64(bytes)
-	d.chann.UseCat(p, sim.CatDMA, int64(bytes), d.Dilated(d.eng.Now(), d.StreamTime(bytes)))
+	return sim.Step{Charge: sim.Charge{Cat: sim.CatDMA, Bytes: int64(bytes), Dt: d.StreamTime(bytes)},
+		Res: d.chann, Dilate: d.dilate}
 }
 
 // BytesStreamed returns the cumulative FPGA<->DRAM traffic.

@@ -19,7 +19,7 @@ func TestStreamChargesTime(t *testing.T) {
 	e := sim.New()
 	d := NewDRAM(e, 100)
 	e.Go("fpga", func(p *sim.Proc) {
-		d.Stream(p, 300)
+		p.Do(d.Stream(300))
 		if p.Now() != 3 {
 			t.Errorf("stream finished at %v, want 3", p.Now())
 		}
@@ -39,8 +39,8 @@ func TestStreamsSerialize(t *testing.T) {
 	e := sim.New()
 	d := NewDRAM(e, 100)
 	var t1, t2 float64
-	e.Go("a", func(p *sim.Proc) { d.Stream(p, 100); t1 = p.Now() })
-	e.Go("b", func(p *sim.Proc) { d.Stream(p, 100); t2 = p.Now() })
+	e.Go("a", func(p *sim.Proc) { p.Do(d.Stream(100)); t1 = p.Now() })
+	e.Go("b", func(p *sim.Proc) { p.Do(d.Stream(100)); t2 = p.Now() })
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}

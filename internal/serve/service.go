@@ -26,8 +26,11 @@ type Config struct {
 	// (place-and-route and partition solves; 0 = 65536, < 0 =
 	// unbounded).
 	MemoBound int
-	// MaxInFlight bounds concurrently evaluating compute requests
-	// (/v1/solve and /v1/design; 0 = 32).
+	// MaxInFlight bounds concurrently running compute request
+	// handlers (/v1/solve and /v1/design; 0 = 32). It does not bound
+	// evaluations: a handler that returns 504 at its deadline frees
+	// its slot while the evaluation it started keeps running in the
+	// background, so more than MaxInFlight can be evaluating at once.
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for an in-flight slot; beyond
 	// it requests are shed with 429 (0 = 256, < 0 = no queue).

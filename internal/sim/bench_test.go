@@ -188,3 +188,47 @@ func BenchmarkEngineCounters(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFPGAJob prices one straight-line FPGA job — a fill lag then
+// a compute hold on the array, launched and awaited by a processor
+// that works meanwhile — in its two forms: "job" runs it through
+// Engine.Launch in scheduler context, "proc" through refLaunch, a
+// process that runs the same steps with Proc.Do and fires a done
+// signal. Identical
+// events and spans; the gap is the process, closure, signal and
+// coroutine switches the job form does without.
+func BenchmarkFPGAJob(b *testing.B) {
+	loop := func(b *testing.B, launch func(e *sim.Engine, steps []sim.Step) *sim.Signal) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := sim.New()
+			cpu := sim.NewResource(e, "cpu0", 1)
+			array := sim.NewResource(e, "fpga0", 1)
+			steps := []sim.Step{
+				{Charge: sim.Charge{Cat: sim.CatDMA, Dt: 0.25}, Dev: sim.DeviceDRAM, Name: "fpga0.fill"},
+				{Charge: sim.Charge{Cat: sim.CatCompute, Dt: 1}, Res: array},
+			}
+			e.Go("node0.cpu", func(p *sim.Proc) {
+				for k := 0; k < 1000; k++ {
+					done := launch(e, steps)
+					cpu.UseCat(p, sim.CatCompute, 0, 0.5)
+					e.Await(p, done)
+				}
+			})
+			if err := e.Run(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(1000*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	}
+	b.Run("job", func(b *testing.B) {
+		loop(b, func(e *sim.Engine, steps []sim.Step) *sim.Signal {
+			return e.Launch("fw.fpga", "op", steps)
+		})
+	})
+	b.Run("proc", func(b *testing.B) {
+		loop(b, func(e *sim.Engine, steps []sim.Step) *sim.Signal {
+			return refLaunch(e, "fw.fpga", "op", steps...)
+		})
+	})
+}

@@ -1,6 +1,6 @@
 package sim
 
-// Fused charge sequences.
+// Charge sequences the engine advances in scheduler context.
 //
 // A cross-process handoff costs two coroutine switches (out to the
 // driver, into the next process) and the wake-up's event pop, several
@@ -16,6 +16,10 @@ package sim
 // Simulated time, span streams, and utilization integrals are
 // byte-identical; only the switch count drops (measured by
 // Counters.FusedSteps).
+//
+// A job (job.go) is the same machinery with no process at all: every
+// boundary, its first start and its completion run in scheduler
+// context, and each step names its own resource.
 //
 // Determinism argument: at an unfused boundary the process resumes on
 // its own event pop and immediately schedules its next wait, so the
@@ -38,10 +42,44 @@ type Charge struct {
 	Dt float64
 }
 
-// chainCap bounds the per-process fused-sequence buffer. Sequences
-// longer than this fall back to the unfused per-charge loop — correct,
-// just with more handoffs. The buffer lives inline in Proc so fusing
-// allocates nothing.
+// Step is one charge of a job or fused sequence, with what it occupies.
+// With Res set, the step acquires Res (queueing FIFO under contention),
+// holds it for the charge and releases it, and its span carries Res's
+// device and name; with Res nil it is a resource-free span tagged Dev
+// and Name.
+type Step struct {
+	Charge
+	// Res is the resource held for the charge (nil: none).
+	Res *Resource
+	// Dev tags the span of a resource-free step with its device kind.
+	Dev Device
+	// Name names what a resource-free step's span occupied.
+	Name string
+	// Dilate, when non-nil, maps the nominal Dt to the effective one.
+	// It is evaluated when the step starts, with the start time, before
+	// Res is acquired — where a process computing the duration itself
+	// would evaluate it (a fault hook, say).
+	Dilate func(start, dt float64) float64
+}
+
+// Do runs one step in process context: exactly the charge a job
+// step makes, for process bodies that cannot be jobs because they
+// block between charges.
+func (p *Proc) Do(s Step) {
+	if s.Dilate != nil {
+		s.Dt = s.Dilate(p.eng.now, s.Dt)
+	}
+	if s.Res != nil {
+		s.Res.UseCat(p, s.Cat, s.Bytes, s.Dt)
+		return
+	}
+	p.WaitSpanOn(s.Cat, s.Dev, s.Name, s.Bytes, s.Dt)
+}
+
+// chainCap bounds a job's steps and a fused sequence's charges.
+// Longer fused sequences fall back to the unfused per-charge loop —
+// correct, just with more handoffs. The buffer lives inline in the
+// recycled job record, so fusing allocates nothing.
 const chainCap = 4
 
 // UseSeq behaves exactly like calling r.UseCat(p, c.Cat, c.Bytes, c.Dt)
@@ -64,9 +102,7 @@ func (r *Resource) UseSeq(p *Proc, charges []Charge) {
 		return
 	}
 	r.Acquire(p)
-	p.chainRes = r
-	p.startChain(r.device, r.name, charges)
-	r.Release()
+	p.startChain(r, r.device, r.name, charges)
 }
 
 // WaitSeq is the resource-free analogue of UseSeq: it behaves exactly
@@ -86,122 +122,148 @@ func (p *Proc) WaitSeq(dev Device, resource string, charges []Charge) {
 		}
 		return
 	}
-	p.chainRes = nil
-	p.startChain(dev, resource, charges)
+	p.startChain(nil, dev, resource, charges)
 }
 
-// startChain begins the fused sequence's first hold and parks until the
-// engine has driven every boundary; on return it emits the final
-// charge's span. The caller brackets with Acquire/Release when a
-// resource is involved (chainRes non-nil lets the engine re-bracket the
-// intermediate boundaries).
-func (p *Proc) startChain(dev Device, resource string, charges []Charge) {
+// startChain begins the fused sequence's first hold on a job record
+// owned by p and parks until the engine has driven every boundary; on
+// return it ends the final charge (span, release of r). A non-nil r
+// is already held by the caller.
+func (p *Proc) startChain(r *Resource, dev Device, resource string, charges []Charge) {
 	e := p.eng
-	p.chainLen = copy(p.chainBuf[:], charges)
-	p.chainIdx = 0
-	p.chainDev = dev
-	p.chainResName = resource
-	p.chainAcquiring = false
-	p.chainLive = true
+	j := e.newJob()
+	j.owner, j.who = p, &p.actor
+	for i, c := range charges {
+		j.steps[i] = Step{Charge: c, Res: r, Dev: dev, Name: resource}
+	}
+	j.n = len(charges)
+	j.started = true
 	dt := charges[0].Dt
 	if dt < 0 {
 		dt = 0
 	}
-	p.chainStart = e.now
-	e.scheduleProc(e.now+dt, p)
+	j.start = e.now
+	e.scheduleJob(e.now+dt, j)
 	p.park(parkWait, nil, dt)
-	// The final boundary resumed us; the engine already emitted the
-	// spans of every earlier charge.
-	last := p.chainBuf[p.chainLen-1]
-	if e.observing() {
-		e.EmitSpan(SpanEvent{
-			Category: last.Cat, Device: dev, Proc: p.name, Resource: resource,
-			Phase: p.phase, Bytes: last.Bytes, Start: p.chainStart, End: e.now,
-		})
-	}
-	p.chainRes = nil
+	// The final boundary resumed us; the engine already ended every
+	// earlier charge.
+	e.endStep(j)
+	e.recycle(j)
 }
 
-// chainStep advances a fused charge sequence at one of its boundary
-// events, in scheduler context. It returns true when the chain
-// continues (the event is consumed; dispatch keeps popping) and false
-// at the final boundary, where dispatch resumes the process normally.
-// Every emitted event, span, and piece of resource bookkeeping mirrors
-// what the unfused per-charge loop does at the same virtual time.
-func (e *Engine) chainStep(p *Proc) bool {
-	r := p.chainRes
-	if p.chainAcquiring {
-		// This pop is the unit grant Release scheduled for us while we
-		// queued: replicate Acquire's post-park bookkeeping, then start
-		// the pending charge's hold.
-		p.chainAcquiring = false
-		e.emitEvent(e.now, p.name, "resume")
-		waited := e.now - p.chainSince
+// chainStep advances job record j at one of its events, in scheduler
+// context: a job's start, a queued acquire's grant, or the end of a
+// hold. Every emitted event, span, and piece of resource bookkeeping
+// mirrors what a process running the same steps does at the same
+// virtual time. It returns the owning process at a fused sequence's
+// final boundary, for dispatch to resume, and nil otherwise.
+func (e *Engine) chainStep(j *job) *Proc {
+	a := j.who
+	switch {
+	case !j.started:
+		// A job's start event: its process would resume here and begin
+		// its first step.
+		j.started = true
+		e.emitEvent(e.now, a.name, "resume")
+		e.beginStep(j)
+		return nil
+	case j.acquiring:
+		// The unit grant Release scheduled while the step queued:
+		// replicate Acquire's post-park bookkeeping, then start the
+		// hold.
+		j.acquiring = false
+		r := j.steps[j.idx].Res
+		e.emitEvent(e.now, a.name, "resume")
+		waited := e.now - j.since
 		r.waitInt += waited
 		r.waits++
 		if waited > 0 && e.observing() {
 			e.EmitSpan(SpanEvent{
-				Category: CatSync, Device: r.device, Proc: p.name, Resource: r.name,
-				Phase: p.phase, Start: p.chainSince, End: e.now,
+				Category: CatSync, Device: r.device, Proc: a.name, Resource: r.name,
+				Phase: a.phase, Start: j.since, End: e.now,
 			})
 		}
-		e.chainHold(p)
-		return true
+		e.holdStep(j)
+		return nil
 	}
-	// A hold boundary: charge chainIdx just finished.
-	if p.chainIdx == p.chainLen-1 {
-		p.chainLive = false
-		return false
+	// A hold boundary: step idx just finished.
+	last := j.idx == j.n-1
+	if last && j.owner != nil {
+		return j.owner // startChain ends the final charge
 	}
-	e.emitEvent(e.now, p.name, "resume")
-	c := p.chainBuf[p.chainIdx]
-	if e.observing() {
-		e.EmitSpan(SpanEvent{
-			Category: c.Cat, Device: p.chainDev, Proc: p.name, Resource: p.chainResName,
-			Phase: p.phase, Bytes: c.Bytes, Start: p.chainStart, End: e.now,
-		})
+	e.emitEvent(e.now, a.name, "resume")
+	e.endStep(j)
+	if last {
+		e.finishJob(j)
+		return nil
 	}
-	p.chainIdx++
-	if r == nil {
-		e.chainHold(p)
-		return true
-	}
-	r.Release()
-	// Re-acquire for the next charge without leaving scheduler context.
-	r.acquires++
-	if r.inUse < r.capacity {
-		r.accumulate()
-		r.inUse++
-		e.chainHold(p)
-		return true
-	}
-	// Saturated: queue exactly as Acquire would, recording the park
-	// reason so deadlock reports and traces read identically.
-	r.enqueue(p)
-	p.chainSince = e.now
-	p.chainAcquiring = true
-	p.parkKind, p.parkWhy, p.parkDur = parkOn, r.why, 0
-	if e.Trace != nil || len(e.observers) > 0 {
-		e.emitEvent(e.now, p.name, r.why.action)
-	}
-	return true
+	j.idx++
+	e.beginStep(j)
+	return nil
 }
 
-// chainHold starts the hold of charge chainIdx: schedule the boundary,
-// record the park reason, and emit the block event the unfused Wait
-// would have emitted.
-func (e *Engine) chainHold(p *Proc) {
-	dt := p.chainBuf[p.chainIdx].Dt
+// beginStep starts step idx: dilate its charge, acquire its resource —
+// queueing exactly as Acquire would, recording the park reason so
+// deadlock reports and traces read identically — then hold.
+func (e *Engine) beginStep(j *job) {
+	s := &j.steps[j.idx]
+	if s.Dilate != nil {
+		s.Dt = s.Dilate(e.now, s.Dt)
+	}
+	if r := s.Res; r != nil {
+		r.acquires++
+		if r.inUse >= r.capacity {
+			r.enqueue(waiter{j: j})
+			j.since = e.now
+			j.acquiring = true
+			a := j.who
+			a.parkKind, a.parkWhy, a.parkDur = parkOn, &r.why, 0
+			if e.tracing() {
+				e.emitEvent(e.now, a.name, r.why.act())
+			}
+			return
+		}
+		r.accumulate()
+		r.inUse++
+	}
+	e.holdStep(j)
+}
+
+// holdStep starts the hold of step idx: schedule the boundary, record
+// the park reason, and emit the block event the process's Wait would
+// have emitted.
+func (e *Engine) holdStep(j *job) {
+	dt := j.steps[j.idx].Dt
 	if dt < 0 {
 		dt = 0
 	}
-	p.chainStart = e.now
-	e.scheduleProc(e.now+dt, p)
-	p.parkKind, p.parkWhy, p.parkDur = parkWait, nil, dt
-	if e.Trace != nil || len(e.observers) > 0 {
-		e.emitEvent(e.now, p.name, e.waitReason(parkWait, dt).action)
+	j.start = e.now
+	e.scheduleJob(e.now+dt, j)
+	a := j.who
+	a.parkKind, a.parkWhy, a.parkDur = parkWait, nil, dt
+	if e.tracing() {
+		e.emitEvent(e.now, a.name, e.waitReason(parkWait, dt).action)
 	}
 	if e.ctr != nil {
 		e.ctr.FusedSteps.Add(1)
+	}
+}
+
+// endStep ends step idx at the current time: its typed span, then the
+// release of its resource.
+func (e *Engine) endStep(j *job) {
+	s := &j.steps[j.idx]
+	if e.observing() {
+		dev, name := s.Dev, s.Name
+		if s.Res != nil {
+			dev, name = s.Res.device, s.Res.name
+		}
+		e.EmitSpan(SpanEvent{
+			Category: s.Cat, Device: dev, Proc: j.who.name, Resource: name,
+			Phase: j.who.phase, Bytes: s.Bytes, Start: j.start, End: e.now,
+		})
+	}
+	if s.Res != nil {
+		s.Res.Release()
 	}
 }

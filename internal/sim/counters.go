@@ -31,10 +31,11 @@ type Counters struct {
 	// SelfResumes counts self-resume fast-path hits: the parking
 	// process was the next runnable one, so no coroutine switched.
 	SelfResumes atomic.Int64
-	// FusedSteps counts intermediate fused-sequence boundaries the
-	// engine advanced in scheduler context (see Resource.UseSeq): each
-	// one replaced a park that would otherwise have been a handoff or
-	// self-resume.
+	// FusedSteps counts charge holds the engine started in scheduler
+	// context — a fused sequence's intermediate boundaries (see
+	// Resource.UseSeq) and every hold of a job (see Engine.Launch):
+	// each one replaced a park that would otherwise have been a
+	// handoff or self-resume.
 	FusedSteps atomic.Int64
 	// Spawns counts processes started.
 	Spawns atomic.Int64

@@ -36,6 +36,12 @@ type Engine struct {
 	// to run), handed to the driver along with control.
 	next *Proc
 
+	// liveHead and liveTail bound the list of launched, unfinished
+	// jobs in launch order (deadlock reports and teardown walk it);
+	// spare heads the free list of recycled job records (job.go).
+	liveHead, liveTail *job
+	spare              *job
+
 	// Trace, if non-nil, receives one call per interesting engine
 	// action (process resume, wait, block). Useful for debugging and
 	// for the timeline exporter. It remains the legacy adapter onto
@@ -81,22 +87,24 @@ func New() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// event is one queue entry: a process resume (p != nil) or a
-// scheduler-context callback (fn != nil). Events order by (t, seq);
-// seq is unique per engine, so the order is a strict total order and
-// any heap yields the identical pop sequence.
+// event is one queue entry: a process resume (p != nil), or a job
+// record's turn (j != nil) — a job or fused-sequence boundary, or a
+// scheduler-context callback carried on a record (j.fn != nil). Events
+// order by (t, seq); seq is unique per engine, so the order is a
+// strict total order and any heap yields the identical pop sequence.
+// Four words keep the event in registers through push and pop.
 type event struct {
 	t   float64
 	seq int64
 	p   *Proc
-	fn  func()
+	j   *job
 }
 
 // eventQueue is a binary min-heap of events ordered by (t, seq),
 // implemented directly on a slice: pushes and pops stay free of the
 // interface boxing container/heap would charge per operation, and
 // popped slots are zeroed so the backing array cannot retain process
-// pointers or callback closures (a real leak on long runs otherwise).
+// pointers or job records (a real leak on long runs otherwise).
 type eventQueue struct {
 	ev []event
 }
@@ -128,7 +136,7 @@ func (q *eventQueue) pop() event {
 	top := q.ev[0]
 	n := len(q.ev) - 1
 	q.ev[0] = q.ev[n]
-	q.ev[n] = event{} // do not retain p / fn in the backing array
+	q.ev[n] = event{} // do not retain p / j in the backing array
 	q.ev = q.ev[:n]
 	// Sift down.
 	i := 0
@@ -164,23 +172,31 @@ func (q *eventQueue) reset() {
 // queue of a finished run seeds the next engine's.
 var queuePool = sync.Pool{New: func() any { return make([]event, 0, 64) }}
 
-func (e *Engine) schedule(t float64, p *Proc, fn func()) {
-	if t < e.now {
-		t = e.now
+func (e *Engine) schedule(ev event) {
+	if ev.t < e.now {
+		ev.t = e.now
 	}
 	if e.queue.ev == nil {
 		e.queue.ev = queuePool.Get().([]event)
 	}
 	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, p: p, fn: fn})
+	ev.seq = e.seq
+	e.queue.push(ev)
 }
 
 // scheduleProc enqueues a resume of p at time t without allocating.
-func (e *Engine) scheduleProc(t float64, p *Proc) { e.schedule(t, p, nil) }
+func (e *Engine) scheduleProc(t float64, p *Proc) { e.schedule(event{t: t, p: p}) }
+
+// scheduleJob enqueues the next boundary of job record j at time t.
+func (e *Engine) scheduleJob(t float64, j *job) { e.schedule(event{t: t, j: j}) }
 
 // At schedules fn to run at absolute virtual time t (or now, if t is in
 // the past). fn runs in scheduler context and must not block.
-func (e *Engine) At(t float64, fn func()) { e.schedule(t, nil, fn) }
+func (e *Engine) At(t float64, fn func()) {
+	j := e.newJob()
+	j.fn = fn
+	e.scheduleJob(t, j)
+}
 
 // abortError unwinds a process body when the engine shuts down.
 type abortError struct{}
@@ -194,16 +210,39 @@ const (
 
 // parkReason is a cached pair of block-reason strings: the bare reason
 // (deadlock reports) and its "block: "-prefixed trace action. The
-// primitives (Resource, Mailbox, Signal, Barrier) build one at
-// construction; wait reasons are interned per duration in the engine's
+// primitives (Resource, Mailbox, Signal, Barrier) embed one holding the
+// parts of the reason — "acquire " + "fpga0", say, or "signal " +
+// "lu.fpga.0.1.2.1" + ".done" — and format it on first use, so a
+// primitive that never blocks a traced run or a deadlock report never
+// concatenates. Wait reasons are interned per duration in the engine's
 // cache. Either way the hot path never formats strings.
 type parkReason struct {
-	reason string
-	action string
+	what, name, suffix string
+	reason, action     string
 }
 
 func newParkReason(reason string) *parkReason {
 	return &parkReason{reason: reason, action: "block: " + reason}
+}
+
+// format fills reason and action from the parts, once.
+func (r *parkReason) format() {
+	if r.action == "" {
+		r.reason = r.what + r.name + r.suffix
+		r.action = "block: " + r.reason
+	}
+}
+
+// text returns the bare reason, for deadlock reports.
+func (r *parkReason) text() string {
+	r.format()
+	return r.reason
+}
+
+// act returns the "block: "-prefixed trace action.
+func (r *parkReason) act() string {
+	r.format()
+	return r.action
 }
 
 // waitKey interns one wait reason: the park kind plus the duration's
@@ -247,40 +286,32 @@ func formatWaitReason(kind int, d float64) string {
 	return fmt.Sprintf("wait %.3gs", d)
 }
 
+// actor is what the engine's event, trace and deadlock paths need of
+// anything that occupies simulated time: a process or a job (job.go).
+// Both embed it.
+type actor struct {
+	name  string
+	phase string // telemetry phase annotation, see SetPhase
+
+	// Why the actor is parked, recorded without formatting: parkKind
+	// selects the reason family, parkDur the wait duration, parkWhy
+	// the primitive's reason (parkOn only).
+	parkKind int
+	parkDur  float64
+	parkWhy  *parkReason
+}
+
 // Proc is a simulated process. All Proc methods must be called from the
 // process's own function body (they yield to the scheduler).
 type Proc struct {
+	actor
 	eng     *Engine
-	name    string
 	fn      func(p *Proc)
 	w       *worker // coroutine running fn; nil before the first resume and after exit
 	done    bool
 	aborted bool
 	blocked bool
-	pv      any    // recovered panic value, if any
-	phase   string // telemetry phase annotation, see SetPhase
-
-	// Why the process is parked, recorded without formatting:
-	// parkKind selects the reason family, parkDur the wait duration,
-	// parkWhy the primitive's preformatted reason (parkOn only).
-	parkKind int
-	parkDur  float64
-	parkWhy  *parkReason
-
-	// Fused charge-sequence state (see chain.go): while chainLive, the
-	// process is parked once across several charges and the engine
-	// advances the boundaries in scheduler context. The buffer is
-	// inline so fusing allocates nothing.
-	chainBuf       [chainCap]Charge
-	chainLen       int
-	chainIdx       int
-	chainLive      bool
-	chainAcquiring bool
-	chainRes       *Resource
-	chainDev       Device
-	chainResName   string
-	chainStart     float64
-	chainSince     float64
+	pv      any // recovered panic value, if any
 }
 
 // Name returns the process name given to Go.
@@ -292,16 +323,16 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// reason formats why the process is blocked (deadlock reports only;
+// reason formats why the actor is blocked (deadlock reports only;
 // the trace path uses the cached parkReason instead).
-func (p *Proc) reason() string {
-	if p.parkKind == parkOn {
-		if p.parkWhy != nil {
-			return p.parkWhy.reason
+func (a *actor) reason() string {
+	if a.parkKind == parkOn {
+		if a.parkWhy != nil {
+			return a.parkWhy.text()
 		}
 		return "blocked"
 	}
-	return formatWaitReason(p.parkKind, p.parkDur)
+	return formatWaitReason(a.parkKind, a.parkDur)
 }
 
 // Go spawns a process that starts at the current virtual time. The
@@ -317,7 +348,7 @@ func (e *Engine) GoAt(t float64, name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(t float64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, fn: fn}
+	p := &Proc{actor: actor{name: name}, eng: e, fn: fn}
 	e.procs = append(e.procs, p)
 	if e.ctr != nil {
 		e.ctr.Spawns.Add(1)
@@ -449,19 +480,25 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 		if e.ctr != nil {
 			e.ctr.EventsPopped.Add(1)
 		}
-		if ev.p == nil {
-			if e.ctr != nil {
-				e.ctr.Callbacks.Add(1)
-			}
-			ev.fn() // scheduler-context callback
-			continue
-		}
 		p := ev.p
+		if j := ev.j; j != nil {
+			if fn := j.fn; fn != nil {
+				j.fn = nil
+				e.recycle(j)
+				if e.ctr != nil {
+					e.ctr.Callbacks.Add(1)
+				}
+				fn() // scheduler-context callback
+				continue
+			}
+			// A job or fused-sequence boundary, handled inline; only a
+			// fused sequence's final boundary resumes its process.
+			if p = e.chainStep(j); p == nil {
+				continue
+			}
+		}
 		if p.done {
 			continue
-		}
-		if p.chainLive && e.chainStep(p) {
-			continue // intermediate fused-sequence boundary, handled inline
 		}
 		if p.blocked {
 			p.blocked = false
@@ -491,11 +528,11 @@ func (p *Proc) park(kind int, why *parkReason, dur float64) {
 	p.blocked = true
 	e.nblocked++
 	p.parkKind, p.parkWhy, p.parkDur = kind, why, dur
-	if e.Trace != nil || len(e.observers) > 0 {
+	if e.tracing() {
 		if why == nil {
 			why = e.waitReason(kind, dur)
 		}
-		e.emitEvent(e.now, p.name, why.action)
+		e.emitEvent(e.now, p.name, why.act())
 	}
 	next := e.dispatch(p)
 	if next == p {
@@ -526,14 +563,15 @@ func (p *Proc) WaitUntil(t float64) {
 	p.park(parkUntil, nil, t)
 }
 
-// Deadlock describes processes blocked forever at the end of a run.
+// Deadlock describes processes and jobs blocked forever at the end of
+// a run.
 type Deadlock struct {
 	// Time is the virtual time the simulation stalled at.
 	Time float64
-	// Stuck maps process names to the reason each was blocked. When
-	// several blocked processes share a name, the reason of the most
-	// recently spawned one wins, deterministically (processes are
-	// scanned in spawn order).
+	// Stuck maps process and job names to the reason each was
+	// blocked. When several blocked ones share a name, the reason of
+	// the most recently started one wins, deterministically (processes
+	// and jobs are scanned in spawn and launch order).
 	Stuck map[string]string
 }
 
@@ -580,12 +618,22 @@ func (e *Engine) Run(until float64) error {
 	if e.failure != nil {
 		return e.failure
 	}
-	if !e.horizon && e.nblocked > 0 {
+	if !e.horizon && (e.nblocked > 0 || e.liveHead != nil) {
+		// A live job at a drained queue is queued on a resource. Jobs
+		// interleave with processes in the order they started: job.ord
+		// counts the processes spawned before the launch.
 		d := &Deadlock{Time: e.now, Stuck: make(map[string]string, e.nblocked)}
-		for _, p := range e.procs {
+		j := e.liveHead
+		for i, p := range e.procs {
+			for ; j != nil && j.ord <= i; j = j.next {
+				d.Stuck[j.name] = j.reason()
+			}
 			if p.blocked {
 				d.Stuck[p.name] = p.reason()
 			}
+		}
+		for ; j != nil; j = j.next {
+			d.Stuck[j.name] = j.reason()
 		}
 		return d
 	}
@@ -595,8 +643,11 @@ func (e *Engine) Run(until float64) error {
 // abortBlocked ends every live process: a parked one is resumed with
 // its abort flag set, so its body unwinds through abortError and its
 // worker returns to the pool; one never started has no coroutine and
-// is just marked done. It then recycles the event queue's scratch.
+// is just marked done. Live jobs are simply dropped. It then recycles
+// the event queue's scratch.
 func (e *Engine) abortBlocked() {
+	e.liveHead, e.liveTail = nil, nil
+	e.poolSpare()
 	for _, p := range e.procs {
 		if p.done {
 			continue

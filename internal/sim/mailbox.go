@@ -17,12 +17,12 @@ type Mailbox struct {
 	qhead   int
 	waiters []*Proc
 	whead   int
-	why     *parkReason
+	why     parkReason
 }
 
 // NewMailbox creates an empty mailbox.
 func NewMailbox(e *Engine, name string) *Mailbox {
-	return &Mailbox{eng: e, name: name, why: newParkReason("recv " + name)}
+	return &Mailbox{eng: e, name: name, why: parkReason{what: "recv ", name: name}}
 }
 
 // Len returns the number of queued messages.
@@ -92,7 +92,7 @@ func (m *Mailbox) Get(p *Proc) any {
 			}
 		}
 		m.waiters = append(m.waiters, p)
-		p.park(parkOn, m.why, 0)
+		p.park(parkOn, &m.why, 0)
 	}
 	return m.popMsg()
 }
@@ -111,15 +111,15 @@ func (m *Mailbox) TryGet() (v any, ok bool) {
 // time). It models the FPGA "done" status register the processor polls.
 type Signal struct {
 	eng     *Engine
-	name    string
 	fired   bool
 	waiters []*Proc
-	why     *parkReason
+	why     parkReason
+	job     *job // the job this is the done signal of; nil from NewSignal
 }
 
 // NewSignal creates an unfired signal.
 func NewSignal(e *Engine, name string) *Signal {
-	return &Signal{eng: e, name: name}
+	return &Signal{eng: e, why: parkReason{what: "signal ", name: name}}
 }
 
 // Fired reports whether Fire has been called.
@@ -146,11 +146,8 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	if s.why == nil {
-		s.why = newParkReason("signal " + s.name)
-	}
 	s.waiters = append(s.waiters, p)
-	p.park(parkOn, s.why, 0)
+	p.park(parkOn, &s.why, 0)
 }
 
 // Barrier synchronizes n processes: each calls Arrive, and all resume
@@ -161,7 +158,7 @@ type Barrier struct {
 	n       int
 	arrived int
 	waiters []*Proc
-	why     *parkReason
+	why     parkReason
 }
 
 // NewBarrier creates a barrier for n processes.
@@ -169,7 +166,7 @@ func NewBarrier(e *Engine, name string, n int) *Barrier {
 	if n < 1 {
 		panic("sim: barrier size must be >= 1")
 	}
-	return &Barrier{eng: e, name: name, n: n, why: newParkReason("barrier " + name)}
+	return &Barrier{eng: e, name: name, n: n, why: parkReason{what: "barrier ", name: name}}
 }
 
 // Arrive blocks p until all n participants have arrived.
@@ -186,5 +183,5 @@ func (b *Barrier) Arrive(p *Proc) {
 		return
 	}
 	b.waiters = append(b.waiters, p)
-	p.park(parkOn, b.why, 0)
+	p.park(parkOn, &b.why, 0)
 }

@@ -194,6 +194,10 @@ func (e *Engine) EmitSpan(s SpanEvent) {
 // can skip span construction entirely when nobody listens.
 func (e *Engine) observing() bool { return len(e.observers) > 0 }
 
+// tracing reports whether anyone receives raw events, so hot paths can
+// skip looking up a block reason nobody reads.
+func (e *Engine) tracing() bool { return e.Trace != nil || len(e.observers) > 0 }
+
 // emitEvent dispatches one raw engine action to the legacy Trace hook
 // and to every observer.
 func (e *Engine) emitEvent(t float64, proc, action string) {

@@ -17,7 +17,7 @@ type Resource struct {
 	// rewinds, so steady-state contention allocates nothing.
 	waiters []waiter
 	whead   int
-	why     *parkReason
+	why     parkReason
 
 	// utilization accounting
 	lastChange float64
@@ -27,10 +27,12 @@ type Resource struct {
 	waits      int64   // number of acquires that had to queue
 }
 
-// waiter remembers when a process joined the queue so the contention
-// wait can be measured and reported as a Sync span.
+// waiter is a queued process, or a queued job step (j), and when it
+// joined the queue so the contention wait can be measured and reported
+// as a Sync span.
 type waiter struct {
 	p     *Proc
+	j     *job
 	since float64
 }
 
@@ -39,7 +41,7 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sim: resource %q capacity %d < 1", name, capacity))
 	}
-	return &Resource{eng: e, name: name, capacity: capacity, why: newParkReason("acquire " + name)}
+	return &Resource{eng: e, name: name, capacity: capacity, why: parkReason{what: "acquire ", name: name}}
 }
 
 // Name returns the resource name.
@@ -75,8 +77,8 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	since := r.eng.now
-	r.enqueue(p)
-	p.park(parkOn, r.why, 0)
+	r.enqueue(waiter{p: p})
+	p.park(parkOn, &r.why, 0)
 	// The releaser handed us the unit directly; we resume at the
 	// current time with the unit already accounted as in use.
 	waited := r.eng.now - since
@@ -90,13 +92,13 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 }
 
-// enqueue appends p to the waiter FIFO, compacting the backing array
+// enqueue appends w to the waiter FIFO, compacting the backing array
 // when the live window would otherwise force a reallocation: under
 // persistent contention the queue never drains, so the rewind in
 // Release never fires and append would reallocate forever. Shifting
 // the live window to the front (and clearing the vacated tail so old
 // entries are released) keeps steady-state contention allocation-free.
-func (r *Resource) enqueue(p *Proc) {
+func (r *Resource) enqueue(w waiter) {
 	if r.whead > 0 && len(r.waiters) == cap(r.waiters) {
 		n := copy(r.waiters, r.waiters[r.whead:])
 		for i := n; i < len(r.waiters); i++ {
@@ -108,7 +110,8 @@ func (r *Resource) enqueue(p *Proc) {
 			r.eng.ctr.Compactions.Add(1)
 		}
 	}
-	r.waiters = append(r.waiters, waiter{p: p, since: r.eng.now})
+	w.since = r.eng.now
+	r.waiters = append(r.waiters, w)
 }
 
 // TryAcquire obtains a unit without blocking; it reports success.
@@ -131,7 +134,7 @@ func (r *Resource) Release() {
 	if r.whead < len(r.waiters) {
 		// Hand the unit directly to the next waiter: utilization is
 		// unchanged, the waiter resumes at the current time.
-		next := r.waiters[r.whead].p
+		next := r.waiters[r.whead]
 		r.waiters[r.whead] = waiter{}
 		r.whead++
 		if r.whead == len(r.waiters) {
@@ -139,7 +142,7 @@ func (r *Resource) Release() {
 			r.whead = 0
 		}
 		e := r.eng
-		e.scheduleProc(e.now, next)
+		e.schedule(event{t: e.now, p: next.p, j: next.j})
 		return
 	}
 	r.accumulate()
