@@ -40,8 +40,8 @@ func main() {
 	var o options
 	flag.StringVar(&o.App, "app", "lu", "application: "+strings.Join(core.AppNames(), ", "))
 	flag.StringVar(&o.Machine, "machine", "xd1", "machine preset (xd1, xt3, src6, rasc) or a machine JSON `file`")
-	flag.IntVar(&o.N, "n", 30000, "problem size")
-	flag.IntVar(&o.B, "b", 3000, "block size")
+	flag.IntVar(&o.N, "n", 0, "problem size (0 = the app's table default)")
+	flag.IntVar(&o.B, "b", 0, "block size (0 = the app's table default)")
 	flag.IntVar(&o.PEs, "pes", 0, "FPGA PE count (0 = largest that fits)")
 	flag.StringVar(&o.Mode, "mode", "hybrid", "design: hybrid, processor-only, fpga-only")
 	flag.IntVar(&o.BF, "bf", -1, "FPGA row share per stripe; FPGA rows for spmv and cg (-1 = solve the model)")
@@ -179,15 +179,7 @@ func run(o options) error {
 	var hook func(float64, string, string)
 	if o.Timeline {
 		col = &trace.Collector{Limit: 2_000_000}
-		hook = func(t float64, proc, action string) {
-			col.Record(t, proc, action)
-		}
-		defer func() {
-			fmt.Println("\nactivity timeline (# = busy):")
-			if err := col.WriteTimeline(os.Stdout, 100, 0); err != nil {
-				log.Errorf("timeline: %v", err)
-			}
-		}()
+		hook = col.Record
 	}
 
 	// The recorder doubles as the span sink for -trace-out, -analyze,
@@ -207,8 +199,9 @@ func run(o options) error {
 	// summarization even without the printed -metrics report.
 	telemetry := o.Metrics || o.MetricsOut != ""
 
+	n, b := app.Sizes(o.N, o.B)
 	spec := core.Spec{
-		Machine: mc, N: o.N, B: o.B, PEs: o.PEs, BF: o.BF, L: o.L, L1: o.L1,
+		Machine: mc, N: n, B: b, PEs: o.PEs, BF: o.BF, L: o.L, L1: o.L1,
 		Density: o.Density, RHS: o.RHS, Mode: md, Functional: o.Functional, Seed: o.Seed,
 		Observer: spanObs, Telemetry: telemetry, Trace: hook, Faults: inj, Metrics: reg,
 	}
@@ -282,7 +275,22 @@ func run(o options) error {
 		fmt.Printf("trace:             %d spans -> %s (chrome://tracing, ui.perfetto.dev)\n",
 			len(rec.SpansView()), o.TraceOut)
 	}
+	if col != nil {
+		printTimeline(col)
+	}
 	return nil
+}
+
+// printTimeline prints the -timeline chart of a completed run and says
+// how many events the collector's limit left out of it.
+func printTimeline(col *trace.Collector) {
+	fmt.Println("\nactivity timeline (# = busy):")
+	if err := col.WriteTimeline(os.Stdout, 100, 0); err != nil {
+		log.Errorf("timeline: %v", err)
+	}
+	if n := col.Dropped(); n > 0 {
+		fmt.Printf("timeline: %d events past the %d-event limit are not charted\n", n, col.Limit)
+	}
 }
 
 // printResilience re-runs the app fault-free and with an oracle

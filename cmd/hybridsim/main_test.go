@@ -58,6 +58,15 @@ func small(app string) options {
 // returns everything the run printed there.
 func runCaptured(t *testing.T, o options) ([]byte, error) {
 	t.Helper()
+	var runErr error
+	out := captured(t, func() { runErr = run(o) })
+	return out, runErr
+}
+
+// captured calls fn with os.Stdout redirected to a temporary file and
+// returns everything fn printed there.
+func captured(t *testing.T, fn func()) []byte {
+	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +74,7 @@ func runCaptured(t *testing.T, o options) ([]byte, error) {
 	defer f.Close()
 	stdout := os.Stdout
 	os.Stdout = f
-	runErr := run(o)
+	fn()
 	os.Stdout = stdout
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
@@ -74,7 +83,7 @@ func runCaptured(t *testing.T, o options) ([]byte, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, runErr
+	return out
 }
 
 // checkGolden compares a run's stdout with testdata/<name>.golden.
@@ -236,5 +245,47 @@ func TestRunTimelineAllApps(t *testing.T) {
 		if !busy {
 			t.Errorf("%s: timeline has no busy row:\n%s", app, chart)
 		}
+	}
+}
+
+func TestRunDefaultsToTableSizes(t *testing.T) {
+	// N=B=0 takes the app's table sizes, which for fw differ from lu's.
+	out, err := runCaptured(t, options{App: "fw", Machine: "xd1", Mode: "hybrid", BF: -1, L: -1, L1: -1, Seed: 1})
+	if err != nil {
+		t.Fatalf("fw at table sizes: %v", err)
+	}
+	if want := "problem:           n=18432 b=256\n"; !bytes.Contains(out, []byte(want)) {
+		t.Fatalf("report lacks %q:\n%s", want, out)
+	}
+}
+
+func TestRunTimelineOnlyAfterSuccess(t *testing.T) {
+	// A failed run prints its error, not an empty chart.
+	o := small("fw")
+	o.Metrics = false
+	o.Timeline = true
+	o.N = 97 // not a multiple of b*p
+	out, err := runCaptured(t, o)
+	if err == nil {
+		t.Fatal("n=97 b=8 accepted")
+	}
+	if bytes.Contains(out, []byte("activity timeline")) {
+		t.Fatalf("failed run printed a timeline:\n%s", out)
+	}
+}
+
+func TestTimelineReportsDroppedEvents(t *testing.T) {
+	col := &trace.Collector{Limit: 3}
+	for i := 0; i < 5; i++ {
+		col.Record(float64(i), "p", "resume")
+	}
+	out := captured(t, func() { printTimeline(col) })
+	if want := "timeline: 2 events past the 3-event limit are not charted\n"; !bytes.HasSuffix(out, []byte(want)) {
+		t.Fatalf("chart does not end with %q:\n%s", want, out)
+	}
+	// Under the limit nothing is said.
+	out = captured(t, func() { printTimeline(&trace.Collector{Limit: 10}) })
+	if bytes.Contains(out, []byte("not charted")) {
+		t.Fatalf("undropped chart reports drops:\n%s", out)
 	}
 }

@@ -41,8 +41,8 @@ func main() {
 	var o options
 	flag.StringVar(&o.App, "app", "lu", "inline mode: application ("+strings.Join(core.AppNames(), ", ")+")")
 	flag.StringVar(&o.Machine, "machine", "xd1", "inline mode: machine preset or machine JSON `file`")
-	flag.IntVar(&o.N, "n", 30000, "inline mode: problem size")
-	flag.IntVar(&o.B, "b", 3000, "inline mode: block size")
+	flag.IntVar(&o.N, "n", 0, "inline mode: problem size (0 = the app's table default)")
+	flag.IntVar(&o.B, "b", 0, "inline mode: block size (0 = the app's table default)")
 	flag.IntVar(&o.PEs, "pes", 0, "inline mode: FPGA PE count (0 = largest that fits)")
 	flag.StringVar(&o.Mode, "mode", "hybrid", "inline mode: hybrid, processor-only, fpga-only")
 	flag.IntVar(&o.BF, "bf", -1, "inline mode: FPGA row share per stripe; FPGA rows for spmv and cg (-1 = solve the model)")
@@ -209,6 +209,7 @@ func runInline(o options, isCand bool) (analysis.Run, error) {
 	if err != nil {
 		return analysis.Run{}, err
 	}
+	cfg.N, cfg.B = app.Sizes(cfg.N, cfg.B)
 	var inj *fault.Injector
 	if faults != "" {
 		if err := app.CheckFaults(); err != nil {

@@ -163,3 +163,19 @@ func TestCandOverridesAndErrors(t *testing.T) {
 		t.Fatal("unknown inline app should fail")
 	}
 }
+
+func TestInlineDefaultsToTableSizes(t *testing.T) {
+	// N=B=0 takes the app's table sizes, which for fw differ from lu's,
+	// and the labels name the resolved sizes.
+	o := options{App: "fw", Machine: "xd1", Mode: "hybrid",
+		BF: -1, L: -1, L1: -1, CandPEs: -1, CandMode: "processor-only"}
+	var out bytes.Buffer
+	if err := run(o, &out); err != nil {
+		t.Fatalf("fw at table sizes: %v", err)
+	}
+	for _, want := range []string{"fw xd1 n=18432 b=256 mode=hybrid", "fw xd1 n=18432 b=256 mode=processor-only"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("report missing label %q:\n%s", want, out.String())
+		}
+	}
+}

@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"codesign"
 )
@@ -27,6 +28,7 @@ func main() {
 		Seed:       42,
 	}
 	fmt.Println("Functional distributed block LU (n=500, b=100, 6 nodes):")
+	mismatch := false
 	for _, mode := range []codesign.Mode{codesign.Hybrid, codesign.ProcessorOnly, codesign.FPGAOnly} {
 		cfg.Mode = mode
 		res, err := codesign.RunLU(cfg)
@@ -36,6 +38,7 @@ func main() {
 		status := "OK"
 		if res.MaxResidual > 1e-8 {
 			status = "MISMATCH"
+			mismatch = true
 		}
 		fmt.Printf("  %-15s simulated %8.3f s, residual vs reference %.3g  [%s]\n",
 			mode, res.Seconds, res.MaxResidual, status)
@@ -56,5 +59,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-35s -> bf=%d, %.2f GFLOPS\n", mc.Name, res.BF, res.GFLOPS)
+	}
+	if mismatch {
+		os.Exit(1)
 	}
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"codesign"
 )
@@ -14,6 +15,7 @@ import (
 func main() {
 	// A 288-vertex graph in 48x48 blocks (one block column per node).
 	fmt.Println("Distributed blocked Floyd-Warshall (n=288, b=48, 6 nodes):")
+	mismatch := false
 	for _, mode := range []codesign.Mode{codesign.Hybrid, codesign.ProcessorOnly, codesign.FPGAOnly} {
 		res, err := codesign.RunFW(codesign.FWConfig{
 			N: 288, B: 48, PEs: 4, L1: -1,
@@ -28,6 +30,7 @@ func main() {
 		status := "bit-exact"
 		if res.MaxResidual != 0 {
 			status = fmt.Sprintf("MISMATCH %.3g", res.MaxResidual)
+			mismatch = true
 		}
 		fmt.Printf("  %-15s l1=%d l2=%d  simulated %7.3f s  result %s\n",
 			mode, res.L1, res.L2, res.Seconds, status)
@@ -45,4 +48,7 @@ func main() {
 		res.L1, res.L2, res.GFLOPS)
 	fmt.Printf("achieved %.0f%% of the model's prediction (paper: ~96%%)\n",
 		100*res.GFLOPS/res.Prediction.GFLOPS)
+	if mismatch {
+		os.Exit(1)
+	}
 }

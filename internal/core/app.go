@@ -279,10 +279,22 @@ func (a App) CheckFaults() error {
 	return fmt.Errorf("fault injection supports %s, not %q", strings.Join(FaultApps(), ", "), a.Name)
 }
 
+// Sizes returns n and b with a zero replaced by the entry's default
+// size. Sweep points and the CLIs' -n/-b flags fill through it.
+func (a App) Sizes(n, b int) (int, int) {
+	if n == 0 {
+		n = a.N
+	}
+	if b == 0 {
+		b = a.B
+	}
+	return n, b
+}
+
 // Plan resolves the app's design model at s: the PE count, placement,
 // model parameters, partition and Section 4.5 prediction, solving
 // through m (nil solves directly). Sentinel sizes are not defaulted;
-// callers fill N and B from the table entry first.
+// callers fill N and B through Sizes first.
 func (a App) Plan(s Spec, m Memo) (Plan, error) { return a.plan.plan(s, m) }
 
 // CheckModel returns nil when the app has a closed-form model and

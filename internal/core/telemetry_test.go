@@ -128,25 +128,33 @@ func TestPerfettoExportDeterministic(t *testing.T) {
 	}
 }
 
-// traceEvent is one legacy-hook record for the adapter comparison.
+// traceEvent is one raw engine event, as the legacy hook and the
+// observer each see it.
 type traceEvent struct {
 	t            float64
 	proc, action string
 }
 
+// eventLog is a sim.Observer that keeps the raw event stream.
+type eventLog []traceEvent
+
+func (l *eventLog) Event(t float64, proc, action string) {
+	*l = append(*l, traceEvent{t, proc, action})
+}
+
+func (l *eventLog) Span(sim.SpanEvent) {}
+
 func TestLegacyTraceHookMatchesObserverEvents(t *testing.T) {
 	var legacy []traceEvent
-	rec := trace.NewRecorder()
-	rec.KeepEvents = true
+	var events eventLog
 	cfg := smallLU()
-	cfg.Observer = rec
+	cfg.Observer = &events
 	cfg.Trace = func(tm float64, proc, action string) {
 		legacy = append(legacy, traceEvent{tm, proc, action})
 	}
 	if _, err := RunLU(cfg); err != nil {
 		t.Fatal(err)
 	}
-	events := rec.Events()
 	if len(legacy) == 0 {
 		t.Fatal("legacy hook saw no events")
 	}
@@ -154,8 +162,7 @@ func TestLegacyTraceHookMatchesObserverEvents(t *testing.T) {
 		t.Fatalf("legacy hook saw %d events, observer %d", len(legacy), len(events))
 	}
 	for i := range legacy {
-		if legacy[i].t != events[i].Time || legacy[i].proc != events[i].Proc ||
-			legacy[i].action != events[i].Action {
+		if legacy[i] != events[i] {
 			t.Fatalf("event %d differs: hook %+v, observer %+v", i, legacy[i], events[i])
 		}
 	}

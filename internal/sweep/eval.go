@@ -250,15 +250,9 @@ func pointSpec(pt Point) (core.App, core.Spec, error) {
 	if err != nil {
 		return app, core.Spec{}, err
 	}
-	s := core.Spec{Machine: cfg.WithNodes(pt.Nodes), N: pt.N, B: pt.B, PEs: pt.PEs,
-		BF: pt.BF, L: pt.L, L1: pt.L, Density: pt.Density, Mode: mode}
-	if s.N == 0 {
-		s.N = app.N
-	}
-	if s.B == 0 {
-		s.B = app.B
-	}
-	return app, s, nil
+	n, b := app.Sizes(pt.N, pt.B)
+	return app, core.Spec{Machine: cfg.WithNodes(pt.Nodes), N: n, B: b, PEs: pt.PEs,
+		BF: pt.BF, L: pt.L, L1: pt.L, Density: pt.Density, Mode: mode}, nil
 }
 
 // evaluate runs one grid point under the given method: the point's

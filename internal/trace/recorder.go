@@ -4,14 +4,13 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
 
 	"codesign/internal/sim"
 )
 
-// Recorder implements sim.Observer: it captures the raw event stream
-// and every typed span for post-run analysis. Register it with
+// Recorder implements sim.Observer: it counts the raw event stream
+// and captures every typed span for post-run analysis. Register it with
 // Engine.Observe (or pass it through an application config's Observer
 // field). The recorder keeps everything in memory; simulated runs emit
 // at most a few spans per block operation, so this is cheap at the
@@ -32,12 +31,7 @@ type Recorder struct {
 	spans    []sim.SpanEvent
 	overflow [][]sim.SpanEvent
 	nOver    int // spans held in overflow
-	events   []Event
-	nEvents  int
-	// KeepEvents controls whether raw (time, proc, action) events are
-	// stored in addition to spans. Spans are always kept; events are
-	// always counted.
-	KeepEvents bool
+	nEvents  int // raw events seen; they are counted, not stored
 }
 
 // minChunk is the smallest span-log chunk: 256 spans of 88 bytes,
@@ -47,20 +41,11 @@ type Recorder struct {
 // chunks.
 const minChunk = 256
 
-// NewRecorder returns a recorder that stores spans only. Set
-// KeepEvents before the run to also capture the raw event stream.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Event stores one raw engine action (sim.Observer).
-func (r *Recorder) Event(t float64, proc, action string) {
-	r.nEvents++
-	if r.KeepEvents {
-		r.events = append(r.events, Event{Time: t, Proc: proc, Action: action})
-	}
-}
-
-// EventCount returns the number of raw events seen (kept or not).
-func (r *Recorder) EventCount() int { return r.nEvents }
+// Event counts one raw engine action (sim.Observer).
+func (r *Recorder) Event(t float64, proc, action string) { r.nEvents++ }
 
 // Span stores one completed typed span (sim.Observer).
 func (r *Recorder) Span(s sim.SpanEvent) {
@@ -122,19 +107,11 @@ func (r *Recorder) SpansView() []sim.SpanEvent {
 	return r.spans
 }
 
-// Events returns the recorded raw events (empty unless KeepEvents).
-func (r *Recorder) Events() []Event {
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
 // Reset discards everything recorded so far. The head's storage is
 // kept for reuse; after a SpansView it holds the whole previous log.
 func (r *Recorder) Reset() {
 	r.spans = r.spans[:0]
 	r.overflow, r.nOver = nil, 0
-	r.events = r.events[:0]
 	r.nEvents = 0
 }
 
@@ -336,18 +313,4 @@ func (r *Recorder) ByCategory() map[sim.Category]float64 {
 		out[sp.Category] += sp.End - sp.Start
 	}
 	return out
-}
-
-// sortSpans orders spans by (start, end, proc) — useful for tests that
-// compare span sets irrespective of emission order.
-func SortSpans(spans []sim.SpanEvent) {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		if spans[i].End != spans[j].End {
-			return spans[i].End < spans[j].End
-		}
-		return spans[i].Proc < spans[j].Proc
-	})
 }
