@@ -30,12 +30,14 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"codesign/internal/cli"
+	"codesign/internal/core"
 	"codesign/internal/serve"
 	"codesign/internal/sweep"
 )
@@ -253,48 +255,73 @@ func run(o options, stdout io.Writer) error {
 	return os.WriteFile(o.Out, buf.Bytes(), 0o644)
 }
 
+// loadAxes is one app's query axes at its table size. The universe
+// nests pes → bf → l; a nil axis leaves its field unset.
+type loadAxes struct {
+	app        string
+	pes, bf, l []int
+}
+
+// lu, chol and qr share one table size, n=30000 and b=3000, so
+// pes | 3000 and bf <= 3000.
+var (
+	blockPEs = []int{2, 4, 8}
+	blockBF  = []int{-1, 0, 600, 1280}
+	blockL   = []int{-1, 1, 2, 3}
+)
+
+// axesTable lists the apps loadgen can query.
+var axesTable = []loadAxes{
+	{app: "lu", pes: blockPEs, bf: blockBF, l: blockL},
+	// n=18432, b=256: pes | 256; l is fw's per-phase op share l1.
+	{app: "fw", pes: []int{2, 4, 8}, l: []int{-1, 1, 2, 4}},
+	// n=6144: pes | 6144, bf <= 6144.
+	{app: "mm", pes: []int{2, 4, 8}, bf: []int{-1, 0, 1024, 3072}},
+	{app: "chol", pes: blockPEs, bf: blockBF, l: blockL},
+	// qr has no panel pipeline depth.
+	{app: "qr", pes: blockPEs, bf: blockBF},
+}
+
 // universe enumerates the feasible query pool per app: every
 // combination resolves to a valid point at the app's paper-default
 // sizes, so a well-formed run never manufactures 400s.
 func universe(apps []string, method string) ([]serve.SolveRequest, error) {
-	iptr := func(v int) *int { return &v }
 	var out []serve.SolveRequest
 	for _, app := range apps {
-		switch app {
-		case "lu":
-			// n=30000, b=3000: pes | 3000, bf <= 3000.
-			for _, pes := range []int{2, 4, 8} {
-				for _, bf := range []int{-1, 0, 600, 1280} {
-					for _, l := range []int{-1, 1, 2, 3} {
-						out = append(out, serve.SolveRequest{
-							App: "lu", PEs: pes, BF: iptr(bf), L: iptr(l), Method: method,
-						})
-					}
+		if _, err := core.LookupApp(app); err != nil {
+			return nil, err
+		}
+		i := slices.IndexFunc(axesTable, func(a loadAxes) bool { return a.app == app })
+		if i < 0 {
+			var have []string
+			for _, a := range axesTable {
+				have = append(have, a.app)
+			}
+			return nil, fmt.Errorf("app %q has no loadgen axes (have %s)", app, strings.Join(have, ", "))
+		}
+		ax := axesTable[i]
+		for _, pes := range ax.pes {
+			for _, bf := range axis(ax.bf) {
+				for _, l := range axis(ax.l) {
+					out = append(out, serve.SolveRequest{App: app, PEs: pes, BF: bf, L: l, Method: method})
 				}
 			}
-		case "fw":
-			// n=18432, b=256: pes | 256; l1 is a per-phase op share.
-			for _, pes := range []int{2, 4, 8} {
-				for _, l := range []int{-1, 1, 2, 4} {
-					out = append(out, serve.SolveRequest{
-						App: "fw", PEs: pes, L: iptr(l), Method: method,
-					})
-				}
-			}
-		case "mm":
-			// n=6144: pes | 6144, bf <= 6144.
-			for _, pes := range []int{2, 4, 8} {
-				for _, bf := range []int{-1, 0, 1024, 3072} {
-					out = append(out, serve.SolveRequest{
-						App: "mm", PEs: pes, BF: iptr(bf), Method: method,
-					})
-				}
-			}
-		default:
-			return nil, fmt.Errorf("unknown app %q (want lu, fw, mm)", app)
 		}
 	}
 	return out, nil
+}
+
+// axis returns an axis's values as request fields: one unset (nil)
+// field for a nil axis.
+func axis(vs []int) []*int {
+	if vs == nil {
+		return []*int{nil}
+	}
+	out := make([]*int, len(vs))
+	for i, v := range vs {
+		out[i] = &v
+	}
+	return out
 }
 
 // canonicalKey renders a query in the solve cache's canonical field

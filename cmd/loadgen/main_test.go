@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"codesign/internal/obs"
@@ -66,20 +67,45 @@ func TestDryRunDeterministic(t *testing.T) {
 func TestUniverseIsFeasible(t *testing.T) {
 	svc := serve.NewService(serve.Config{}, obs.NewRegistry())
 	defer svc.Close()
-	uni, err := universe([]string{"lu", "fw", "mm"}, "model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(uni) != 72 {
-		t.Fatalf("universe has %d queries, want 72", len(uni))
-	}
-	for _, q := range uni {
-		resp, err := svc.Solve(context.Background(), q)
+	for _, c := range []struct {
+		apps []string
+		want int
+	}{
+		{[]string{"lu", "fw", "mm"}, 72},
+		// chol takes lu's three axes, qr its pes and bf.
+		{[]string{"chol", "qr"}, 60},
+	} {
+		uni, err := universe(c.apps, "model")
 		if err != nil {
-			t.Fatalf("query %+v: %v", q, err)
+			t.Fatal(err)
 		}
-		if !resp.Outcome.OK {
-			t.Fatalf("query %s infeasible: %s", canonicalKey(q), resp.Outcome.Err)
+		if len(uni) != c.want {
+			t.Fatalf("%v: universe has %d queries, want %d", c.apps, len(uni), c.want)
+		}
+		for _, q := range uni {
+			resp, err := svc.Solve(context.Background(), q)
+			if err != nil {
+				t.Fatalf("query %+v: %v", q, err)
+			}
+			if !resp.Outcome.OK {
+				t.Fatalf("query %s infeasible: %s", canonicalKey(q), resp.Outcome.Err)
+			}
+		}
+	}
+}
+
+// TestUniverseRejectsApps checks that -apps names outside the app table
+// fail with the table's names, and table apps without loadgen axes
+// fail with loadgen's.
+func TestUniverseRejectsApps(t *testing.T) {
+	for app, want := range map[string]string{
+		"foo":  "want one of lu, fw, mm, spmv, chol, qr, cg",
+		"spmv": `app "spmv" has no loadgen axes (have lu, fw, mm, chol, qr)`,
+		"cg":   `app "cg" has no loadgen axes`,
+	} {
+		_, err := universe([]string{"lu", app}, "model")
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-apps lu,%s: err = %v, want it to contain %q", app, err, want)
 		}
 	}
 }

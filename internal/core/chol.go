@@ -58,41 +58,44 @@ type CholResult struct {
 	Prediction model.Prediction
 }
 
-type cholJob struct {
-	t, u, v int // v <= u: lower-triangle block (u, v)
-	e       *matrix.Dense
-	arrived int
-}
-
-type cholRun struct {
-	s   Spec
-	sys *machine.System
-	lp  model.LUParams
-	nb  int
-	l   int
-
-	charge jobCharge
-
-	boxes []*sim.Mailbox
-	iters []*luIter
-
-	a *matrix.Dense
-}
-
-func (cr *cholRun) blk(u, v int) *matrix.Dense {
-	b := cr.s.B
-	return cr.a.View(u*b, v*b, b, b)
-}
-
-func (cr *cholRun) computeNodes(t int) []int {
-	p := cr.sys.Cfg.Nodes
-	out := make([]int, 0, p-1)
-	for i := 0; i < p; i++ {
-		if i != t%p {
-			out = append(out, i)
+// cholKernel is the Cholesky panel and update on the block
+// factorization driver: opPOTRF (a third of opLU's flops), then opTRSM
+// down the panel; job (u, v), v <= u, is the lower-triangle update
+// A_uv -= L_u,t · (L_v,t)ᵀ, a symmetric SYRK on the diagonal.
+var cholKernel = blockKernel{
+	name: "chol",
+	jobs: func(rem int) int { return rem * (rem + 1) / 2 },
+	panel: func(q *panelQueue) {
+		lr, pr, node, t, b := q.lr, q.pr, q.node, q.t, q.lr.s.B
+		// opPOTRF: (1/3)b³ flops at the factorization routine rate.
+		node.ComputeCPU(pr, cpu.DGETRF, cpu.DgetrfFlops(b)/2)
+		if lr.a != nil {
+			if err := matrix.Cholesky(lr.blk(t, t)); err != nil {
+				panic(fmt.Sprintf("opPOTRF iteration %d: %v", t, err))
+			}
 		}
-	}
-	return out
+		for u := t + 1; u < lr.nb; u++ {
+			// opTRSM on panel block (u, t).
+			node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
+			if lr.a != nil {
+				matrix.TrsmRightLowerT(lr.blk(t, t), lr.blk(u, t))
+			}
+			// Jobs (u, v) for v <= u are now ready.
+			for v := t + 1; v <= u; v++ {
+				q.add(u, v, u == v)
+			}
+			q.send(lr.l)
+		}
+	},
+	operand: func(lr *luRun, j *luJob) *matrix.Dense { return lr.blk(j.v, j.t).Transpose() },
+	opms: func(lr *luRun, j *luJob) {
+		if j.sym {
+			// Diagonal: symmetric rank-b update, lower only.
+			matrix.Syrk(lr.blk(j.u, j.t), lr.blk(j.u, j.u))
+		} else {
+			lr.blk(j.u, j.v).Sub(j.e)
+		}
+	},
 }
 
 // RunCholesky simulates the distributed factorization.
@@ -107,251 +110,31 @@ func runCholesky(s Spec) (*CholResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, sys := h.Spec, h.sys
-	p := s.Machine.Nodes
-	lp, bf := h.LU, h.Split.BF
-	// Per-job charges are the LU opMM charges; SYRK (diagonal) jobs
-	// halve the compute terms at run time.
-	cr := &cholRun{s: s, sys: sys, lp: lp, nb: s.N / s.B, l: h.Split.L,
-		charge: opmmCharge(lp, bf, sys.Nodes[0].Proc.Rate(cpu.DGEMM), false)}
+	s = h.Spec
+	lr, err := newLURun(h, &cholKernel, luAblation{})
+	if err != nil {
+		return nil, err
+	}
 
 	var ref *matrix.Dense
 	if s.Functional {
 		rng := rand.New(rand.NewSource(s.Seed))
-		cr.a = matrix.RandomSPD(s.N, rng)
-		ref = cr.a.Clone()
+		lr.a = matrix.RandomSPD(s.N, rng)
+		ref = lr.a.Clone()
 		if err := matrix.BlockCholesky(ref, s.B); err != nil {
 			return nil, fmt.Errorf("core: reference factorization: %w", err)
 		}
 	}
 
-	for i := 0; i < p; i++ {
-		cr.boxes = append(cr.boxes, sim.NewMailbox(sys.Eng, fmt.Sprintf("chol.jobs%d", i)))
-	}
-	for t := 0; t < cr.nb; t++ {
-		rem := cr.nb - 1 - t
-		it := &luIter{
-			pending: rem * (rem + 1) / 2, // lower-triangle jobs
-			done:    sim.NewSignal(sys.Eng, fmt.Sprintf("chol.iter%d.done", t)),
-			bar:     sim.NewBarrier(sys.Eng, fmt.Sprintf("chol.iter%d.bar", t), p),
-		}
-		if it.pending == 0 {
-			it.done.Fire()
-		}
-		cr.iters = append(cr.iters, it)
-	}
-
-	for i := 0; i < p; i++ {
-		node := sys.Nodes[i]
-		me := i
-		sys.Eng.Go(fmt.Sprintf("node%d.cpu", me), func(pr *sim.Proc) {
-			for t := 0; t < cr.nb; t++ {
-				if me == t%p {
-					cr.runPanel(pr, node, t)
-				} else {
-					cr.runCompute(pr, node, me, t)
-				}
-				it := cr.iters[t]
-				it.done.Wait(pr)
-				it.bar.Arrive(pr)
-			}
-		})
-	}
-
 	n := float64(s.N)
-	r, err := h.finish(s.B, n*n*n/3)
+	r, _, err := lr.execute(h, n*n*n/3)
 	if err != nil {
 		return nil, err
 	}
-	res := &CholResult{Result: r, BF: bf, BP: s.B - bf, L: cr.l, K: h.Split.K, Model: lp, Prediction: h.Prediction}
+	res := &CholResult{Result: r, BF: lr.bf, BP: lr.bp, L: lr.l, K: h.Split.K, Model: lr.lp, Prediction: h.Prediction}
 	if s.Functional && ref != nil {
 		res.Checked = true
-		res.MaxResidual = matrix.ExtractLower(cr.a).MaxDiff(matrix.ExtractLower(ref))
+		res.MaxResidual = matrix.ExtractLower(lr.a).MaxDiff(matrix.ExtractLower(ref))
 	}
 	return res, nil
-}
-
-// scalePrediction rescales a prediction's times by factor and recomputes
-// throughput for the given useful flops.
-func scalePrediction(p model.Prediction, factor, flops float64) model.Prediction {
-	p.Ttp *= factor
-	p.Ttf *= factor
-	p.Seconds *= factor
-	p.Flops = flops
-	p.GFLOPS = flops / p.Seconds / 1e9
-	return p
-}
-
-// runPanel is iteration t on the panel node: opPOTRF then the opTRSM
-// sequence, releasing trailing-update jobs l at a time.
-func (cr *cholRun) runPanel(pr *sim.Proc, node *machine.Node, t int) {
-	b := cr.s.B
-	nb := cr.nb
-	pr.SetPhase("panel")
-	defer pr.SetPhase("")
-
-	// opPOTRF: (1/3)b³ flops at the factorization routine rate.
-	node.ComputeCPU(pr, cpu.DGETRF, cpu.DgetrfFlops(b)/2)
-	if cr.a != nil {
-		if err := matrix.Cholesky(cr.blk(t, t)); err != nil {
-			panic(fmt.Sprintf("opPOTRF iteration %d: %v", t, err))
-		}
-	}
-
-	var ready []*cholJob
-	send := func(limit int) {
-		for limit != 0 && len(ready) > 0 {
-			j := ready[0]
-			ready = ready[1:]
-			cr.sendJob(pr, node, t, j)
-			if limit > 0 {
-				limit--
-			}
-		}
-	}
-
-	for u := t + 1; u < nb; u++ {
-		// opTRSM on panel block (u, t).
-		node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
-		if cr.a != nil {
-			matrix.TrsmRightLowerT(cr.blk(t, t), cr.blk(u, t))
-		}
-		// Jobs (u, v) for v <= u are now ready.
-		for v := t + 1; v <= u; v++ {
-			j := &cholJob{t: t, u: u, v: v}
-			if cr.a != nil && u != v {
-				j.e = matrix.New(b, b)
-			}
-			ready = append(ready, j)
-		}
-		send(cr.l)
-	}
-	send(-1)
-	for _, dst := range cr.computeNodes(t) {
-		cr.boxes[dst].Put(luSentinel{t: t})
-	}
-}
-
-func (cr *cholRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *cholJob) {
-	bytes := 2 * cr.s.B * cr.s.B * machine.WordBytes
-	if j.u == j.v {
-		bytes /= 2 // SYRK needs only one panel block
-	}
-	dsts := cr.computeNodes(t)
-	prevPhase := pr.Phase()
-	pr.SetPhase("broadcast")
-	cr.sys.Fab.Multicast(pr, node.ID, dsts, bytes)
-	pr.SetPhase(prevPhase)
-	for _, dst := range dsts {
-		cr.boxes[dst].Put(j)
-	}
-}
-
-// runCompute processes this node's share of the trailing update jobs.
-func (cr *cholRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int) {
-	cn := cr.computeNodes(t)
-	ci := 0
-	for idx, n := range cn {
-		if n == me {
-			ci = idx
-		}
-	}
-	w := cr.s.B / (cr.sys.Cfg.Nodes - 1)
-	pr.SetPhase("opmm")
-	defer pr.SetPhase("")
-	for {
-		msg := cr.boxes[me].Get(pr)
-		if s, ok := msg.(luSentinel); ok {
-			if s.t != t {
-				panic(fmt.Sprintf("core: node %d got sentinel for iteration %d during %d", me, s.t, t))
-			}
-			return
-		}
-		j := msg.(*cholJob)
-		ch := cr.charge
-		if j.u == j.v {
-			// Symmetric update: half the arithmetic, half the traffic.
-			ch.cpuRecv /= 2
-			ch.cpuDMA /= 2
-			ch.cpuGemm /= 2
-			ch.fpgaCycles /= 2
-			ch.dmaBytes /= 2
-		}
-
-		var done *sim.Signal
-		if ch.fpgaCycles > 0 {
-			a := node.Accel
-			done = a.Launch(sim.Name("chol.fpga", t, j.u, j.v, me), "opmm",
-				a.WaitOperands(ch.fpgaLag), a.Compute(ch.fpgaCycles))
-		}
-		// The three CPU charges fuse into one engine park (ChargeCPUSeq).
-		var seq [3]sim.Charge
-		cs := seq[:0]
-		if ch.cpuRecv > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatNetwork, Dt: ch.cpuRecv})
-		}
-		if ch.cpuDMA > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: ch.dmaBytes, Dt: ch.cpuDMA})
-		}
-		if ch.cpuGemm > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatCompute, Dt: ch.cpuGemm})
-		}
-		node.ChargeCPUSeq(pr, cs)
-		if j.e != nil {
-			// Functional off-diagonal update slice:
-			// E[:, cols] = L_u,t · (L_v,t)ᵀ[:, cols].
-			eSlice := j.e.View(0, ci*w, cr.s.B, w)
-			bT := cr.blk(j.v, j.t).Transpose()
-			matrix.Gemm(1, cr.blk(j.u, j.t), bT.View(0, ci*w, cr.s.B, w), 0, eSlice)
-		}
-		if done != nil {
-			node.Accel.AwaitDone(pr, done)
-		}
-		cr.forwardResult(pr, me, t, j)
-	}
-}
-
-func (cr *cholRun) forwardResult(pr *sim.Proc, me, t int, j *cholJob) {
-	p := cr.sys.Cfg.Nodes
-	owner := j.u % p // block (u,v) lives in block-row u
-	sliceBytes := cr.s.B * cr.s.B / (p - 1) * machine.WordBytes
-	if j.u == j.v {
-		sliceBytes /= 2
-	}
-	prevPhase := pr.Phase()
-	pr.SetPhase("scatter")
-	cr.sys.Fab.Transfer(pr, me, owner, sliceBytes)
-	pr.SetPhase(prevPhase)
-	j.arrived++
-	if j.arrived < p-1 {
-		return
-	}
-	ownerNode := cr.sys.Nodes[owner]
-	it := cr.iters[t]
-	b := cr.s.B
-	cr.sys.Eng.Go(sim.Name("chol.opms", t, j.u, j.v), func(mp *sim.Proc) {
-		mp.SetPhase("opms")
-		unpack := float64(b*b*machine.WordBytes) / cr.lp.Bn
-		sub := cpu.SubtractFlops(b)
-		if j.u == j.v {
-			unpack /= 2
-			sub /= 2
-		}
-		ownerNode.ChargeCPUSeq(mp, []sim.Charge{
-			{Cat: sim.CatNetwork, Dt: unpack},
-			{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, sub)},
-		})
-		if cr.a != nil {
-			if j.u == j.v {
-				// Diagonal: symmetric rank-b update, lower only.
-				matrix.Syrk(cr.blk(j.u, j.t), cr.blk(j.u, j.u))
-			} else {
-				cr.blk(j.u, j.v).Sub(j.e)
-			}
-		}
-		it.pending--
-		if it.pending == 0 {
-			it.done.Fire()
-		}
-	})
 }

@@ -18,6 +18,13 @@
 // attaches tracing and telemetry, installs the design, applies the
 // app's fault policy and fills the common Result, once for every Run*.
 //
+// LU and Cholesky share one block-factorization driver (luRun in
+// lu.go): the node loop, mailboxes, send pipeline, compute loop,
+// scatter and opMS are written once, and each factorization is a
+// blockKernel giving its panel body, job count and functional update.
+// Every hybrid job — lu, chol, qr and fw — launches its FPGA share and
+// charges its CPU share through one jobCharge.run.
+//
 // Every run is a discrete-event simulation of the full distributed
 // schedule: panel factorizations, stripe broadcasts, DRAM streaming,
 // FPGA jobs, result scatters and subtractions all occur as events whose

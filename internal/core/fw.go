@@ -342,26 +342,16 @@ func (fr *fwRun) runOps(pr *sim.Proc, node *machine.Node, t, ph int, ops []fwOp,
 	cpuOps := ops[:len(ops)-nFPGA]
 	fpgaOps := ops[len(ops)-nFPGA:]
 
-	var done *sim.Signal
-	var seq [2]sim.Charge
-	cs := seq[:0]
-	if len(fpgaOps) > 0 {
-		a := node.Accel
-		cycles := float64(len(fpgaOps)) * fr.blockCycles
-		lag := fr.tmem // first block's stream exposed
-		done = a.Launch(sim.Name("fw.fpga", t, ph, node.ID), "op", a.WaitOperands(lag), a.Compute(cycles))
-		// The processor streams the FPGA's operand blocks (Eq. 6
-		// charges l2·Tmem to the processor side): 2b² words per block.
-		b := fr.s.B
-		dmaBytes := int64(len(fpgaOps)) * int64(2*b*b) * machine.WordBytes
-		cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: dmaBytes, Dt: float64(len(fpgaOps)) * fr.tmem})
-	}
+	// The processor streams the FPGA's operand blocks (Eq. 6 charges
+	// l2·Tmem to the processor side, 2b² words per block) with the
+	// first block's stream exposed, and runs its own ops meanwhile.
+	l2, b := float64(len(fpgaOps)), fr.s.B
+	ch := jobCharge{cpuDMA: l2 * fr.tmem, fpgaCycles: l2 * fr.blockCycles, fpgaLag: fr.tmem,
+		dmaBytes: int64(len(fpgaOps)) * int64(2*b*b) * machine.WordBytes}
 	if len(cpuOps) > 0 {
-		cs = append(cs, sim.Charge{Cat: sim.CatCompute,
-			Dt: node.Proc.Time(cpu.FWKernel, float64(len(cpuOps))*cpu.FWBlockFlops(fr.s.B))})
+		ch.cpuGemm = node.Proc.Time(cpu.FWKernel, float64(len(cpuOps))*cpu.FWBlockFlops(b))
 	}
-	// DMA staging and the CPU kernel fuse into one engine park.
-	node.ChargeCPUSeq(pr, cs)
+	done := ch.run(pr, node, "op", "fw.fpga", t, ph, node.ID)
 	if fr.d != nil {
 		for _, op := range ops {
 			fr.apply(op, t)

@@ -89,11 +89,14 @@ type LUResult struct {
 	Prediction model.Prediction
 }
 
-// luJob is one b×b block multiplication A'_uv = L10_u × U01_v
-// distributed over the p-1 compute nodes.
+// luJob is one b×b trailing-update block multiplication, distributed
+// over the iteration's compute nodes.
 type luJob struct {
 	t, u, v int
-	e       *matrix.Dense // functional accumulator (nil when timing-only)
+	// sym marks a symmetric (SYRK) update, which does half the
+	// arithmetic and moves half the data of a full one.
+	sym     bool
+	e       *matrix.Dense // functional accumulator (nil when timing-only or sym)
 	arrived int           // result slices delivered to the opMS owner
 }
 
@@ -110,6 +113,8 @@ type luIter struct {
 	// members are the nodes participating (sorted); nil means all of
 	// them (the static, fault-free schedule).
 	members []int
+	// nodes are the members that perform opMM (all but panel).
+	nodes []int
 }
 
 // isMember reports whether node me participates in the iteration.
@@ -123,14 +128,6 @@ func (it *luIter) isMember(me int) bool {
 		}
 	}
 	return false
-}
-
-// count returns the participant count (p when members is nil).
-func (it *luIter) count(p int) int {
-	if it.members == nil {
-		return p
-	}
-	return len(it.members)
 }
 
 // first returns the lowest participating node (the iteration-latency
@@ -148,8 +145,74 @@ type luAblation struct {
 	disableStripeOverlap, interruptibleRoutines, wholeTaskOpMM bool
 }
 
-// luRun bundles everything the node processes need.
+// blockKernel is one block factorization on the shared driver (luRun):
+// the panel node factors the diagonal block and solves the panel,
+// releasing trailing-update jobs as their operands become ready; the
+// other nodes split each job between processor and FPGA and scatter
+// the result to the block's owner, which runs opMS. A kernel supplies
+// only what differs between factorizations.
+type blockKernel struct {
+	// name prefixes every mailbox, signal, barrier and process name.
+	name string
+	// jobs is the job count of an iteration with rem block rows below
+	// its diagonal block.
+	jobs func(rem int) int
+	// panel runs the panel operations on q's node, adding each job to
+	// q as its operands become ready and calling q.send to pipeline
+	// them; the driver drains q afterwards.
+	panel func(q *panelQueue)
+	// operand is the right factor of job j, whose column slice each
+	// compute node multiplies by L_u,t.
+	operand func(lr *luRun, j *luJob) *matrix.Dense
+	// opms applies job j's finished update to the functional matrix.
+	opms func(lr *luRun, j *luJob)
+}
+
+// luKernel is the paper's LU (Section 5.1.3): opLU, then opL and opU
+// down the panel; job (u, v) is A_uv -= L_u,t · U_t,v over the whole
+// trailing matrix.
+var luKernel = blockKernel{
+	name: "lu",
+	jobs: func(rem int) int { return rem * rem },
+	panel: func(q *panelQueue) {
+		lr, pr, node, t, b := q.lr, q.pr, q.node, q.t, q.lr.s.B
+		// opLU.
+		node.ComputeCPU(pr, cpu.DGETRF, cpu.DgetrfFlops(b))
+		if lr.a != nil {
+			if err := matrix.LU(lr.blk(t, t)); err != nil {
+				panic(fmt.Sprintf("opLU iteration %d: %v", t, err))
+			}
+		}
+		for c := t + 1; c < lr.nb; c++ {
+			// opL on block (c, t).
+			node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
+			if lr.a != nil {
+				matrix.TrsmUpperRight(lr.blk(t, t), lr.blk(c, t))
+			}
+			q.send(lr.l)
+			// opU on block (t, c).
+			node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
+			if lr.a != nil {
+				matrix.TrsmLowerUnitLeft(lr.blk(t, t), lr.blk(t, c))
+			}
+			// Jobs whose operands are now both available: max(u,v) == c.
+			for v := t + 1; v <= c; v++ {
+				q.add(c, v, false)
+			}
+			for u := t + 1; u < c; u++ {
+				q.add(u, c, false)
+			}
+			q.send(lr.l)
+		}
+	},
+	operand: func(lr *luRun, j *luJob) *matrix.Dense { return lr.blk(j.t, j.v) },
+	opms:    func(lr *luRun, j *luJob) { lr.blk(j.u, j.v).Sub(j.e) },
+}
+
+// luRun is the block-factorization driver: it bundles everything the
+// node processes need and runs kernel k's node program.
 type luRun struct {
+	k *blockKernel
 	s Spec
 	luAblation
 	sys    *machine.System
@@ -165,6 +228,8 @@ type luRun struct {
 
 	boxes []*sim.Mailbox
 	iters []*luIter
+	// fpgaName and opmsName prefix the FPGA-job and opMS process names.
+	fpgaName, opmsName string
 
 	a *matrix.Dense // functional matrix (nil when timing-only)
 
@@ -192,28 +257,6 @@ func (lr *luRun) blk(u, v int) *matrix.Dense {
 	return lr.a.View(u*b, v*b, b, b)
 }
 
-// computeNodes lists the nodes that perform opMM in iteration it
-// (every participant but the panel node).
-func (lr *luRun) computeNodes(it *luIter) []int {
-	if it.members == nil {
-		p := lr.sys.Cfg.Nodes
-		out := make([]int, 0, p-1)
-		for i := 0; i < p; i++ {
-			if i != it.panel {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	out := make([]int, 0, len(it.members)-1)
-	for _, i := range it.members {
-		if i != it.panel {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // RunLU builds the machine, derives the partition from the design
 // model, simulates the full distributed factorization and returns the
 // measured results.
@@ -230,26 +273,11 @@ func runLU(s Spec, ab luAblation) (*LUResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, sys := h.Spec, h.sys
-	p := s.Machine.Nodes
-	lp, bf := h.LU, h.Split.BF
-	lr := &luRun{s: s, luAblation: ab, sys: sys, lp: lp, nb: s.N / s.B, bf: bf, bp: s.B - bf, l: h.Split.L}
-	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
+	s = h.Spec
+	lr, err := newLURun(h, &luKernel, ab)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	lr.gemmRate = sys.Nodes[0].Proc.Rate(cpu.DGEMM)
-	lr.lpLive = lp
-	if s.Faults != nil {
-		lr.inj = s.Faults
-		lr.dyn = make(map[int]*luIter)
-		lr.tracker = newFaultTracker(s.Faults)
-		lr.live = make([]int, p)
-		for i := range lr.live {
-			lr.live[i] = i
-		}
-	}
-	lr.chargeModel()
 
 	// Functional state and reference.
 	var ref *matrix.Dense
@@ -262,31 +290,103 @@ func runLU(s Spec, ab luAblation) (*LUResult, error) {
 		}
 	}
 
+	n := float64(s.N)
+	r, iterEnd, err := lr.execute(h, 2.0/3.0*n*n*n)
+	if err != nil {
+		return nil, err
+	}
+	res := &LUResult{Result: r,
+		BF: lr.bf, BP: lr.bp, L: lr.l, K: lr.lp.K,
+		Model:      lr.lp,
+		Prediction: lr.lp.PredictLU(s.N, lr.bf),
+	}
+	prev := 0.0
+	for _, t := range iterEnd {
+		res.IterationSeconds = append(res.IterationSeconds, t-prev)
+		prev = t
+	}
+	if lr.inj != nil {
+		res.Repartitions = lr.repartitions
+		res.DeadNodes = lr.inj.DeadBy(r.Seconds)
+	}
+	if s.Functional && ref != nil {
+		res.Checked = true
+		res.MaxResidual = lr.a.MaxDiff(ref)
+	}
+	return res, nil
+}
+
+// newLURun sets kernel k up on the harness's machine and plan: the
+// per-job charges, the mailboxes and, on the fault-free path, every
+// iteration's coordination state.
+func newLURun(h *harness, k *blockKernel, ab luAblation) (*luRun, error) {
+	s, sys := h.Spec, h.sys
+	p := s.Machine.Nodes
+	lr := &luRun{k: k, s: s, luAblation: ab, sys: sys, lp: h.LU, nb: s.N / s.B,
+		bf: h.Split.BF, bp: s.B - h.Split.BF, l: h.Split.L,
+		fpgaName: k.name + ".fpga", opmsName: k.name + ".opms"}
+	var err error
+	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	lr.gemmRate = sys.Nodes[0].Proc.Rate(cpu.DGEMM)
+	lr.lpLive = h.LU
+	if s.Faults != nil {
+		lr.inj = s.Faults
+		lr.dyn = make(map[int]*luIter)
+		lr.tracker = newFaultTracker(s.Faults)
+		lr.live = make([]int, p)
+		for i := range lr.live {
+			lr.live[i] = i
+		}
+	}
+	lr.chargeModel()
+
 	// Coordination structures. Under fault injection the per-iteration
 	// state is created lazily at each iteration boundary instead, so
 	// membership can shrink as nodes die (the construction itself
 	// schedules no engine events, so an injector with no faults stays
 	// byte-identical to this eager path).
 	for i := 0; i < p; i++ {
-		lr.boxes = append(lr.boxes, sim.NewMailbox(sys.Eng, fmt.Sprintf("lu.jobs%d", i)))
+		lr.boxes = append(lr.boxes, sim.NewMailbox(sys.Eng, fmt.Sprintf("%s.jobs%d", k.name, i)))
 	}
 	if lr.inj == nil {
 		for t := 0; t < lr.nb; t++ {
-			rem := lr.nb - 1 - t
-			it := &luIter{
-				pending: rem * rem,
-				done:    sim.NewSignal(sys.Eng, fmt.Sprintf("lu.iter%d.done", t)),
-				bar:     sim.NewBarrier(sys.Eng, fmt.Sprintf("lu.iter%d.bar", t), p),
-				panel:   t % p,
-			}
-			if it.pending == 0 {
-				it.done.Fire()
-			}
-			lr.iters = append(lr.iters, it)
+			lr.iters = append(lr.iters, lr.newIter(t, nil))
 		}
 	}
+	return lr, nil
+}
 
-	return lr.execute(h, ref)
+// newIter builds iteration t's coordination state over members (nil:
+// every node).
+func (lr *luRun) newIter(t int, members []int) *luIter {
+	it := &luIter{pending: lr.k.jobs(lr.nb - 1 - t), members: members}
+	n := lr.sys.Cfg.Nodes
+	if members != nil {
+		n = len(members)
+	}
+	it.done = sim.NewSignal(lr.sys.Eng, fmt.Sprintf("%s.iter%d.done", lr.k.name, t))
+	it.bar = sim.NewBarrier(lr.sys.Eng, fmt.Sprintf("%s.iter%d.bar", lr.k.name, t), n)
+	it.panel = t % n
+	if members != nil {
+		it.panel = members[it.panel]
+	}
+	it.nodes = make([]int, 0, n-1)
+	for i := 0; i < n; i++ {
+		m := i
+		if members != nil {
+			m = members[i]
+		}
+		if m != it.panel {
+			it.nodes = append(it.nodes, m)
+		}
+	}
+	if it.pending == 0 {
+		it.done.Fire()
+	}
+	return it
 }
 
 // jobCharge is the per-opMM cost model on one compute node.
@@ -297,6 +397,47 @@ type jobCharge struct {
 	// dmaBytes is the operand volume the cpuDMA charge streams to the
 	// FPGA, for telemetry byte accounting.
 	dmaBytes int64
+}
+
+// halved is the charge of a symmetric (SYRK) update: half the
+// arithmetic and half the traffic. The FPGA's start lag is the first
+// stripe's transfer, which does not shrink.
+func (c jobCharge) halved() jobCharge {
+	c.cpuRecv /= 2
+	c.cpuDMA /= 2
+	c.cpuGemm /= 2
+	c.fpgaCycles /= 2
+	c.dmaBytes /= 2
+	return c
+}
+
+// run launches the FPGA share, if any, as a kind job named
+// sim.Name(name, ids...), then charges the CPU share on pr: unpack the
+// operand messages, stream the FPGA's operands to it, then the
+// software half of the work. Unpack carries no bytes (the wire span
+// already counted the payload); the DMA charge carries the FPGA's
+// operand volume. The CPU charges fuse into one engine park
+// (ChargeCPUSeq). It returns the FPGA job's done signal, nil without
+// an FPGA share.
+func (c jobCharge) run(pr *sim.Proc, node *machine.Node, kind, name string, ids ...int) *sim.Signal {
+	var done *sim.Signal
+	if c.fpgaCycles > 0 {
+		a := node.Accel
+		done = a.Launch(sim.Name(name, ids...), kind, a.WaitOperands(c.fpgaLag), a.Compute(c.fpgaCycles))
+	}
+	var seq [3]sim.Charge
+	cs := seq[:0]
+	if c.cpuRecv > 0 {
+		cs = append(cs, sim.Charge{Cat: sim.CatNetwork, Dt: c.cpuRecv})
+	}
+	if c.cpuDMA > 0 {
+		cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: c.dmaBytes, Dt: c.cpuDMA})
+	}
+	if c.cpuGemm > 0 {
+		cs = append(cs, sim.Charge{Cat: sim.CatCompute, Dt: c.cpuGemm})
+	}
+	node.ChargeCPUSeq(pr, cs)
+	return done
 }
 
 // chargeModel derives the per-job costs from the machine parameters.
@@ -396,18 +537,7 @@ func (lr *luRun) iter(t int) *luIter {
 	if lr.failure != nil {
 		return nil
 	}
-	members := lr.live
-	rem := lr.nb - 1 - t
-	it := &luIter{
-		pending: rem * rem,
-		done:    sim.NewSignal(lr.sys.Eng, fmt.Sprintf("lu.iter%d.done", t)),
-		bar:     sim.NewBarrier(lr.sys.Eng, fmt.Sprintf("lu.iter%d.bar", t), len(members)),
-		panel:   members[t%len(members)],
-		members: members,
-	}
-	if it.pending == 0 {
-		it.done.Fire()
-	}
+	it := lr.newIter(t, lr.live)
 	lr.dyn[t] = it
 	return it
 }
@@ -426,8 +556,8 @@ func (lr *luRun) maybeRepartition(now float64, t int) {
 	died := len(live) < len(lr.live)
 	if died {
 		if len(live) < 2 {
-			lr.failure = fmt.Errorf("core: lu iteration %d: %d node(s) alive at t=%gs, need >= 2 (panel + compute)",
-				t, len(live), now)
+			lr.failure = fmt.Errorf("core: %s iteration %d: %d node(s) alive at t=%gs, need >= 2 (panel + compute)",
+				lr.k.name, t, len(live), now)
 			return
 		}
 		lr.live = live
@@ -467,9 +597,9 @@ func (lr *luRun) applyRepartition(now float64, t int, d model.Degradation, died 
 	recordRepartition(lr.s.Metrics, reason, len(lr.live))
 }
 
-// execute spawns the node programs, runs the simulation, and assembles
-// the results.
-func (lr *luRun) execute(h *harness, ref *matrix.Dense) (*LUResult, error) {
+// execute spawns the node programs, runs the simulation and returns
+// the common Result with the end time of every iteration.
+func (lr *luRun) execute(h *harness, flops float64) (Result, []float64, error) {
 	sys := lr.sys
 	p := sys.Cfg.Nodes
 	iterEnd := make([]float64, lr.nb)
@@ -499,117 +629,79 @@ func (lr *luRun) execute(h *harness, ref *matrix.Dense) (*LUResult, error) {
 		})
 	}
 
-	n := float64(lr.s.N)
-	r, err := h.finish(lr.s.B, 2.0/3.0*n*n*n)
-	if err != nil {
-		return nil, err
+	r, err := h.finish(lr.s.B, flops)
+	if err == nil {
+		err = lr.failure
 	}
-	if lr.failure != nil {
-		return nil, lr.failure
-	}
-	res := &LUResult{Result: r,
-		BF: lr.bf, BP: lr.bp, L: lr.l, K: lr.lp.K,
-		Model:      lr.lp,
-		Prediction: lr.lp.PredictLU(lr.s.N, lr.bf),
-	}
-	prev := 0.0
-	for _, t := range iterEnd {
-		res.IterationSeconds = append(res.IterationSeconds, t-prev)
-		prev = t
-	}
-	if lr.inj != nil {
-		res.Repartitions = lr.repartitions
-		res.DeadNodes = lr.inj.DeadBy(r.Seconds)
-	}
-	if lr.s.Functional && ref != nil {
-		res.Checked = true
-		res.MaxResidual = lr.a.MaxDiff(ref)
-	}
-	return res, nil
+	return r, iterEnd, err
 }
 
-// runPanel is iteration t on the panel node: opLU, then the opL/opU
-// sequence, releasing opMM jobs to the compute nodes l at a time
+// runPanel is iteration t on the panel node: the kernel's panel
+// operations, releasing jobs to the compute nodes l at a time
 // (Equation 5's pipeline).
 func (lr *luRun) runPanel(pr *sim.Proc, node *machine.Node, t int, it *luIter) {
-	cfg := lr.s
-	b := cfg.B
-	nb := lr.nb
-	dsts := lr.computeNodes(it)
 	pr.SetPhase("panel")
 	defer pr.SetPhase("")
-
-	// opLU.
-	node.ComputeCPU(pr, cpu.DGETRF, cpu.DgetrfFlops(b))
-	if lr.a != nil {
-		if err := matrix.LU(lr.blk(t, t)); err != nil {
-			panic(fmt.Sprintf("opLU iteration %d: %v", t, err))
-		}
-	}
-
-	var ready []*luJob
-	var inFlight []*sim.Signal
-	send := func(limit int) {
-		for limit != 0 && len(ready) > 0 {
-			j := ready[0]
-			ready = ready[1:]
-			if s := lr.sendJob(pr, node, t, j, dsts); s != nil {
-				inFlight = append(inFlight, s)
-			}
-			if limit > 0 {
-				limit--
-			}
-		}
-	}
-
-	for c := t + 1; c < nb; c++ {
-		// opL on block (c, t).
-		node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
-		if lr.a != nil {
-			matrix.TrsmUpperRight(lr.blk(t, t), lr.blk(c, t))
-		}
-		send(lr.l)
-		// opU on block (t, c).
-		node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
-		if lr.a != nil {
-			matrix.TrsmLowerUnitLeft(lr.blk(t, t), lr.blk(t, c))
-		}
-		// Jobs whose operands are now both available: max(u,v) == c.
-		for v := t + 1; v <= c; v++ {
-			ready = append(ready, lr.newJob(t, c, v))
-		}
-		for u := t + 1; u < c; u++ {
-			ready = append(ready, lr.newJob(t, u, c))
-		}
-		send(lr.l)
-	}
-	send(-1) // drain whatever the pipeline did not cover
+	q := &panelQueue{lr: lr, pr: pr, node: node, t: t, it: it}
+	lr.k.panel(q)
+	q.send(-1) // drain whatever the pipeline did not cover
 	// With asynchronous sends, the sentinel must not overtake job
 	// deliveries still on the wire.
-	for _, s := range inFlight {
+	for _, s := range q.inFlight {
 		s.Wait(pr)
 	}
-	for _, dst := range dsts {
+	for _, dst := range it.nodes {
 		lr.boxes[dst].Put(luSentinel{t: t})
 	}
 }
 
-func (lr *luRun) newJob(t, u, v int) *luJob {
-	j := &luJob{t: t, u: u, v: v}
-	if lr.a != nil {
-		j.e = matrix.New(lr.s.B, lr.s.B)
-	}
-	return j
+// panelQueue is iteration t's job pipeline on the panel node: jobs
+// join it as their operands become ready and leave it, in order, as
+// operand multicasts to the compute nodes.
+type panelQueue struct {
+	lr       *luRun
+	pr       *sim.Proc
+	node     *machine.Node
+	t        int
+	it       *luIter
+	ready    []*luJob
+	inFlight []*sim.Signal
 }
 
-// sendJob multicasts one job's operand stripes (2b² words) to the
-// compute nodes and enqueues the job. With InterruptibleRoutines the
-// send proceeds asynchronously (the ablation of the atomic-routine
-// serialization the paper blames for its 86% prediction ratio) and a
-// completion signal is returned so the caller can drain before sending
-// the iteration sentinel.
+// add queues job (u, v) of the iteration.
+func (q *panelQueue) add(u, v int, sym bool) {
+	j := &luJob{t: q.t, u: u, v: v, sym: sym}
+	if q.lr.a != nil && !sym {
+		j.e = matrix.New(q.lr.s.B, q.lr.s.B)
+	}
+	q.ready = append(q.ready, j)
+}
+
+// send sends up to limit queued jobs (-1: all of them).
+func (q *panelQueue) send(limit int) {
+	for limit != 0 && len(q.ready) > 0 {
+		j := q.ready[0]
+		q.ready = q.ready[1:]
+		if s := q.lr.sendJob(q.pr, q.node, q.t, j, q.it.nodes); s != nil {
+			q.inFlight = append(q.inFlight, s)
+		}
+		if limit > 0 {
+			limit--
+		}
+	}
+}
+
+// sendJob multicasts one job's operand stripes (2b² words, half that
+// for a symmetric job) to the compute nodes and enqueues the job. With
+// InterruptibleRoutines the send proceeds asynchronously (the ablation
+// of the atomic-routine serialization the paper blames for its 86%
+// prediction ratio) and a completion signal is returned so the caller
+// can drain before sending the iteration sentinel.
 func (lr *luRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *luJob, dsts []int) *sim.Signal {
 	bytes := 2 * lr.s.B * lr.s.B * machine.WordBytes
+	if j.sym {
+		bytes /= 2
+	}
 	deliver := func() {
 		for _, dst := range dsts {
 			lr.boxes[dst].Put(j)
@@ -617,8 +709,8 @@ func (lr *luRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *luJob, dsts
 	}
 	if lr.interruptibleRoutines {
 		src := node.ID
-		done := sim.NewSignal(lr.sys.Eng, sim.Name("lu.sent", t, j.u, j.v))
-		lr.sys.Eng.Go(sim.Name("lu.send", t, j.u, j.v), func(sp *sim.Proc) {
+		done := sim.NewSignal(lr.sys.Eng, sim.Name(lr.k.name+".sent", t, j.u, j.v))
+		lr.sys.Eng.Go(sim.Name(lr.k.name+".send", t, j.u, j.v), func(sp *sim.Proc) {
 			sp.SetPhase("broadcast")
 			lr.sys.Fab.Multicast(sp, src, dsts, bytes)
 			deliver()
@@ -638,7 +730,7 @@ func (lr *luRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *luJob, dsts
 // FPGA share launched first, CPU share meanwhile — then scatter the
 // result slice to the opMS owner.
 func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luIter) {
-	cn := lr.computeNodes(it)
+	cn := it.nodes
 	ci := 0
 	for idx, n := range cn {
 		if n == me {
@@ -658,36 +750,16 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 		}
 		j := msg.(*luJob)
 		ch := lr.chargeFor(j)
-
-		var done *sim.Signal
-		if ch.fpgaCycles > 0 {
-			a := node.Accel
-			done = a.Launch(sim.Name("lu.fpga", t, j.u, j.v, me), "opmm",
-				a.WaitOperands(ch.fpgaLag), a.Compute(ch.fpgaCycles))
+		if j.sym {
+			ch = ch.halved()
 		}
-		// CPU share: unpack the operand messages, stream the FPGA's
-		// operands to it, then run the software half of the multiply.
-		// Unpack carries no bytes (the wire span already counted the
-		// payload); the DMA charge carries the FPGA's operand volume.
-		// The three charges fuse into one engine park (ChargeCPUSeq).
-		var seq [3]sim.Charge
-		cs := seq[:0]
-		if ch.cpuRecv > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatNetwork, Dt: ch.cpuRecv})
-		}
-		if ch.cpuDMA > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: ch.dmaBytes, Dt: ch.cpuDMA})
-		}
-		if ch.cpuGemm > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatCompute, Dt: ch.cpuGemm})
-		}
-		node.ChargeCPUSeq(pr, cs)
+		done := ch.run(pr, node, "opmm", lr.fpgaName, t, j.u, j.v, me)
 		if j.e != nil {
 			// Functional: this node produces its column slice of
-			// E = L10_u × U01_v (both the CPU's bp rows and the
+			// E = L_u,t × operand (both the CPU's bp rows and the
 			// FPGA's bf rows — the arithmetic is identical).
 			eSlice := j.e.View(0, ci*w, lr.s.B, w)
-			dSlice := lr.blk(j.t, j.v).View(0, ci*w, lr.s.B, w)
+			dSlice := lr.k.operand(lr, j).View(0, ci*w, lr.s.B, w)
 			matrix.Gemm(1, lr.blk(j.u, j.t), dSlice, 0, eSlice)
 		}
 		if done != nil {
@@ -702,13 +774,15 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 // slices arrive, schedules the subtraction on the owner's processor. A
 // dead owner's update is remapped onto a surviving node.
 func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
-	p := lr.sys.Cfg.Nodes
 	owner := lr.cyc.UpdateOwner(j.u, j.v)
 	if it.members != nil && !it.isMember(owner) {
 		owner = it.members[owner%len(it.members)]
 	}
-	nc := it.count(p) - 1 // compute nodes contributing a slice
+	nc := len(it.nodes) // compute nodes contributing a slice
 	sliceBytes := lr.s.B * lr.s.B / nc * machine.WordBytes
+	if j.sym {
+		sliceBytes /= 2
+	}
 	prevPhase := pr.Phase()
 	pr.SetPhase("scatter")
 	lr.sys.Fab.Transfer(pr, me, owner, sliceBytes)
@@ -720,15 +794,20 @@ func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
 	// Last slice in: run opMS on the owner's processor.
 	ownerNode := lr.sys.Nodes[owner]
 	b := lr.s.B
-	lr.sys.Eng.Go(sim.Name("lu.opms", t, j.u, j.v), func(mp *sim.Proc) {
+	lr.sys.Eng.Go(sim.Name(lr.opmsName, t, j.u, j.v), func(mp *sim.Proc) {
 		mp.SetPhase("opms")
-		unpack := float64(lr.s.B*lr.s.B*machine.WordBytes) / lr.lp.Bn
+		unpack := float64(b*b*machine.WordBytes) / lr.lp.Bn
+		sub := cpu.SubtractFlops(b)
+		if j.sym {
+			unpack /= 2
+			sub /= 2
+		}
 		ownerNode.ChargeCPUSeq(mp, []sim.Charge{
 			{Cat: sim.CatNetwork, Dt: unpack},
-			{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, cpu.SubtractFlops(b))},
+			{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, sub)},
 		})
-		if j.e != nil {
-			lr.blk(j.u, j.v).Sub(j.e)
+		if lr.a != nil {
+			lr.k.opms(lr, j)
 		}
 		it.pending--
 		if it.pending == 0 {

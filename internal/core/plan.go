@@ -314,6 +314,17 @@ func stripePlanner(app string, pipelined bool, predict func(lp model.LUParams, n
 	}}
 }
 
+// scalePrediction rescales a prediction's times by factor and recomputes
+// throughput for the given useful flops.
+func scalePrediction(p model.Prediction, factor, flops float64) model.Prediction {
+	p.Ttp *= factor
+	p.Ttf *= factor
+	p.Seconds *= factor
+	p.Flops = flops
+	p.GFLOPS = flops / p.Seconds / 1e9
+	return p
+}
+
 var (
 	luPlan = stripePlanner("lu", true, model.LUParams.PredictLU)
 	// Cholesky does half of LU's trailing work per iteration pair: the

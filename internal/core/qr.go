@@ -165,22 +165,7 @@ func runQR(s Spec) (*QRResult, error) {
 				}
 				ch := chargeFor(rows)
 				for j := t + 1; j < nb; j++ {
-					var done *sim.Signal
-					if ch.fpgaCycles > 0 {
-						acc := node.Accel
-						done = acc.Launch(sim.Name("qr.fpga", t, j, me), "update",
-							acc.WaitOperands(ch.fpgaLag), acc.Compute(ch.fpgaCycles))
-					}
-					// The CPU charges fuse into one engine park.
-					var seq [2]sim.Charge
-					cs := seq[:0]
-					if ch.cpuDMA > 0 {
-						cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: ch.dmaBytes, Dt: ch.cpuDMA})
-					}
-					if ch.cpuGemm > 0 {
-						cs = append(cs, sim.Charge{Cat: sim.CatCompute, Dt: ch.cpuGemm})
-					}
-					node.ChargeCPUSeq(pr, cs)
+					done := ch.run(pr, node, "update", "qr.fpga", t, j, me)
 					if a != nil {
 						applyPanelSlice(a, tau, t, b, j*b+ci*w, w)
 					}
