@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"codesign/internal/fault"
 	"codesign/internal/trace"
 )
 
@@ -21,9 +22,13 @@ type spanRun struct {
 	run  func(s Spec) error
 }
 
-// spanRuns are every goldenRuns case, the three LU ablations, and
+// spanRuns are every goldenRuns case, the three LU ablations,
 // Cholesky's baselines, unpipelined panel and a split that gives both
-// the processor and the FPGA a share of every trailing update.
+// the processor and the FPGA a share of every trailing update, and the
+// stripe pipelines: mm's baselines, an FPGA-bound split (the array
+// always finds a stripe waiting) and a CPU-bound one (it parks on an
+// empty queue), mm under processor and array faults, a streamed spmv
+// apply of several chunks, and one opMM block.
 func spanRuns(t *testing.T) []spanRun {
 	var runs []spanRun
 	for _, g := range goldenRuns(t) {
@@ -68,7 +73,40 @@ func spanRuns(t *testing.T) []spanRun {
 			return err
 		}})
 	}
-	return runs
+	mmFaults := mustInjector(t, &fault.Spec{Window: 1e-6, Events: []fault.Event{
+		{Kind: fault.CPUSlow, Node: 1, Start: 0, Factor: 0.4},
+		{Kind: fault.FPGAStall, Node: 2, Start: 2e-6, Duration: 3e-6},
+	}}, 6)
+	for _, m := range []struct {
+		name string
+		set  func(s *Spec)
+	}{
+		{"mm processor-only", func(s *Spec) { s.Mode = ProcessorOnly }},
+		{"mm fpga-only", func(s *Spec) { s.Mode = FPGAOnly }},
+		{"mm bf=48", func(s *Spec) { s.BF = 48 }},
+		{"mm bf=8", func(s *Spec) { s.BF = 8 }},
+		{"mm faults", func(s *Spec) { s.Functional, s.Faults = false, mmFaults }},
+	} {
+		runs = append(runs, spanRun{m.name, func(s Spec) error {
+			ms := appDirects["mm"].spec
+			ms.Trace, ms.Observer = s.Trace, s.Observer
+			m.set(&ms)
+			_, err := runMM(ms)
+			return err
+		}})
+	}
+	return append(runs,
+		spanRun{"spmv streamed", func(s Spec) error {
+			_, err := runMV(Spec{N: 1024, PEs: 2, BF: 640, Density: 0.02, RHS: 1, Seed: 1,
+				Trace: s.Trace, Observer: s.Observer})
+			return err
+		}},
+		spanRun{"opmm", func(s Spec) error {
+			_, err := runOpMM(Spec{N: 120, B: 120, PEs: 4, BF: -1, Mode: Hybrid,
+				Trace: s.Trace, Observer: s.Observer})
+			return err
+		}},
+	)
 }
 
 // TestSpanStreamGolden pins, for each spanRuns case, the SHA-256 of the
