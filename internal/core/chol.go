@@ -87,7 +87,10 @@ var cholKernel = blockKernel{
 			q.send(lr.l)
 		}
 	},
-	operand: func(lr *luRun, j *luJob) *matrix.Dense { return lr.blk(j.v, j.t).Transpose() },
+	// The slice of (L_v,t)ᵀ is the transpose of L_v,t's rows col..col+w.
+	operand: func(lr *luRun, j *luJob, col, w int) *matrix.Dense {
+		return lr.blk(j.v, j.t).View(col, 0, w, lr.s.B).Transpose()
+	},
 	opms: func(lr *luRun, j *luJob) {
 		if j.sym {
 			// Diagonal: symmetric rank-b update, lower only.

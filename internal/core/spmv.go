@@ -182,17 +182,17 @@ func runMV(s Spec) (*SpMVResult, error) {
 					done = accel.Launch(fmt.Sprintf("spmv.mv.%d", a), phase,
 						accel.Compute(float64(fpgaWords)*fpgaPerWord*accel.Placed.FreqHz))
 				} else {
+					// The array takes each chunk from the queue the
+					// processor's DMA fills, and computes it.
 					fq := sim.NewMailbox(sys.Eng, fmt.Sprintf("spmv.fq.%d", a))
-					done = accel.LaunchProc(fmt.Sprintf("spmv.mv.%d", a), func(fp *sim.Proc) {
-						fp.SetPhase(phase)
-						for lo := 0; lo < rf; lo += chunkRows {
-							hi := lo + chunkRows
-							if hi > rf {
-								hi = rf
-							}
-							fq.Get(fp)
-							fp.Do(accel.Compute(float64(rowWords(lo, hi)) / float64(k)))
+					done = accel.LaunchCursor(fmt.Sprintf("spmv.mv.%d", a), phase, func(i int) (sim.Step, bool) {
+						lo := i * chunkRows
+						if lo >= rf {
+							return sim.Step{}, false
 						}
+						s := accel.Compute(float64(rowWords(lo, min(lo+chunkRows, rf))) / float64(k))
+						s.Recv = fq
+						return s, true
 					})
 					pr.SetPhase(phase)
 					for lo := 0; lo < rf; lo += chunkRows {

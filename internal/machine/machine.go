@@ -197,6 +197,18 @@ func (n *Node) ChargeCPU(p *sim.Proc, cat sim.Category, bytes int64, dt float64)
 	n.CPUBusy.UseCat(p, cat, bytes, dt)
 }
 
+// CPUStep returns the step that charges the node processor as
+// ChargeCPU does, for a processor program run as a job: the
+// fault-dilation hook, when installed, is evaluated when the step
+// starts.
+func (n *Node) CPUStep(cat sim.Category, bytes int64, dt float64) sim.Step {
+	s := sim.Step{Charge: sim.Charge{Cat: cat, Bytes: bytes, Dt: dt}, Res: n.CPUBusy}
+	if dilate := n.dilate; dilate != nil {
+		s.Dilate = func(start, dt float64) float64 { return dilate(cat, start, dt) }
+	}
+	return s
+}
+
 // ChargeCPUSeq charges a sequence of consecutive processor intervals —
 // e.g. unpack, DMA staging, then a GEMM — exactly like calling
 // ChargeCPU once per charge, but through the engine's fused path so
@@ -287,20 +299,22 @@ func (a *Accelerator) Launch(name, phase string, steps ...sim.Step) *sim.Signal 
 	return a.node.sys.Eng.Launch(name, phase, steps)
 }
 
-// LaunchProc starts an FPGA job whose body blocks between its charges
-// — on a mailbox the processor feeds stripe by stripe — and so runs as
-// a process of its own; straight-line jobs use Launch. run charges the
-// array with fp.Do(a.Compute(...)). Coordination accounting matches
-// Launch.
-func (a *Accelerator) LaunchProc(name string, run func(fp *sim.Proc)) *sim.Signal {
+// LaunchCursor starts an FPGA job whose steps come from next (see
+// sim.Engine.LaunchCursor): a stripe consumer whose every step is a
+// Compute gated on the stripe queue, say. Coordination accounting
+// matches Launch.
+func (a *Accelerator) LaunchCursor(name, phase string, next func(i int) (sim.Step, bool)) *sim.Signal {
 	a.coordinations++ // start-register write
 	a.jobs++
-	done := sim.NewSignal(a.node.sys.Eng, name+".done")
-	a.node.sys.Eng.Go(name, func(fp *sim.Proc) {
-		run(fp)
-		done.Fire()
-	})
-	return done
+	return a.node.sys.Eng.LaunchCursor(name, phase, next)
+}
+
+// AwaitStep returns the gate-only step with which a processor job
+// waits on an FPGA job's status register, counted as AwaitDone counts
+// the poll.
+func (a *Accelerator) AwaitStep(done *sim.Signal) sim.Step {
+	a.coordinations++ // status-register poll observing completion
+	return sim.Step{Await: done}
 }
 
 // AwaitDone blocks the processor on the job's status register.

@@ -231,4 +231,43 @@ func BenchmarkFPGAJob(b *testing.B) {
 			return refLaunch(e, "fw.fpga", "op", steps...)
 		})
 	})
+	// stream prices a stripe consumer: a producer process charges each
+	// of 1000 stripes' DMA on the CPU and queues it, and the array takes
+	// and computes each, as one gated cursor job ("job") or as refCursor's
+	// process doing Get then Do ("proc"). The array is the bottleneck,
+	// so after the first stripe one is always waiting.
+	b.Run("stream", func(b *testing.B) {
+		stream := func(b *testing.B, launch func(e *sim.Engine, next func(int) (sim.Step, bool)) *sim.Signal) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := sim.New()
+				cpu := sim.NewResource(e, "cpu0", 1)
+				fq := sim.NewMailbox(e, "mm.fq0")
+				array := sim.Step{Charge: sim.Charge{Cat: sim.CatCompute, Dt: 1},
+					Res: sim.NewResource(e, "fpga0", 1), Recv: fq}
+				e.Go("mm.cpu0", func(p *sim.Proc) {
+					done := launch(e, repeatStep(1000, array))
+					for k := 0; k < 1000; k++ {
+						cpu.UseCat(p, sim.CatDMA, 64, 0.5)
+						fq.Put(nil)
+					}
+					e.Await(p, done)
+				})
+				if err := e.Run(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(1000*float64(b.N)/b.Elapsed().Seconds(), "stripes/s")
+		}
+		b.Run("job", func(b *testing.B) {
+			stream(b, func(e *sim.Engine, next func(int) (sim.Step, bool)) *sim.Signal {
+				return e.LaunchCursor("mm.fpga0", "stripe", next)
+			})
+		})
+		b.Run("proc", func(b *testing.B) {
+			stream(b, func(e *sim.Engine, next func(int) (sim.Step, bool)) *sim.Signal {
+				return refCursor(e, "mm.fpga0", "stripe", next)
+			})
+		})
+	})
 }

@@ -18,8 +18,8 @@ package sim
 // Counters.FusedSteps).
 //
 // A job (job.go) is the same machinery with no process at all: every
-// boundary, its first start and its completion run in scheduler
-// context, and each step names its own resource.
+// boundary, its first start, its gate waits and its completion run in
+// scheduler context, and each step names its own resource.
 //
 // Determinism argument: at an unfused boundary the process resumes on
 // its own event pop and immediately schedules its next wait, so the
@@ -47,6 +47,12 @@ type Charge struct {
 // holds it for the charge and releases it, and its span carries Res's
 // device and name; with Res nil it is a resource-free span tagged Dev
 // and Name.
+//
+// A job's step may also wait before it starts and act when it ends:
+// Recv and Await are gates, After a hook. A step with a gate but
+// neither Res nor Name is gate-only: it charges nothing and emits no
+// span, and ends as soon as its gate passes. Proc.Do ignores gates and
+// hooks; a process waits and acts between its charges itself.
 type Step struct {
 	Charge
 	// Res is the resource held for the charge (nil: none).
@@ -60,11 +66,23 @@ type Step struct {
 	// Res is acquired — where a process computing the duration itself
 	// would evaluate it (a fault hook, say).
 	Dilate func(start, dt float64) float64
+	// Recv, when non-nil, makes the step take one message from the
+	// mailbox before it starts, parking the job while the mailbox is
+	// empty and re-checking on every wake, as Mailbox.Get does.
+	Recv *Mailbox
+	// Await, when non-nil, makes the step wait for the signal before it
+	// starts, as Signal.Wait does (after any Recv). A job's done signal
+	// awaited here goes back to the engine, as with Engine.Await.
+	Await *Signal
+	// After, when non-nil, runs in scheduler context when the step
+	// ends, after its span and release: where a process would run its
+	// next statement (a Mailbox.Put or Signal.Fire, say).
+	After func()
 }
 
-// Do runs one step in process context: exactly the charge a job
-// step makes, for process bodies that cannot be jobs because they
-// block between charges.
+// Do runs one step's charge in process context: exactly the charge a
+// job step makes, without its gates and hook. It is the process form
+// of a step, which the job tests compare jobs against.
 func (p *Proc) Do(s Step) {
 	if s.Dilate != nil {
 		s.Dt = s.Dilate(p.eng.now, s.Dt)
@@ -152,11 +170,12 @@ func (p *Proc) startChain(r *Resource, dev Device, resource string, charges []Ch
 }
 
 // chainStep advances job record j at one of its events, in scheduler
-// context: a job's start, a queued acquire's grant, or the end of a
-// hold. Every emitted event, span, and piece of resource bookkeeping
-// mirrors what a process running the same steps does at the same
-// virtual time. It returns the owning process at a fused sequence's
-// final boundary, for dispatch to resume, and nil otherwise.
+// context: a job's start, a gate's wake-up, a queued acquire's grant,
+// or the end of a hold. Every emitted event, span, and piece of
+// resource bookkeeping mirrors what a process running the same steps
+// does at the same virtual time. It returns the owning process at a
+// fused sequence's final boundary, for dispatch to resume, and nil
+// otherwise.
 func (e *Engine) chainStep(j *job) *Proc {
 	a := j.who
 	switch {
@@ -165,14 +184,22 @@ func (e *Engine) chainStep(j *job) *Proc {
 		// its first step.
 		j.started = true
 		e.emitEvent(e.now, a.name, "resume")
-		e.beginStep(j)
+		if e.load(j) {
+			e.beginStep(j, false)
+		}
+		return nil
+	case j.gated:
+		// Put or Fire woke the job on the gate it parked on.
+		j.gated = false
+		e.emitEvent(e.now, a.name, "resume")
+		e.beginStep(j, true)
 		return nil
 	case j.acquiring:
 		// The unit grant Release scheduled while the step queued:
 		// replicate Acquire's post-park bookkeeping, then start the
 		// hold.
 		j.acquiring = false
-		r := j.steps[j.idx].Res
+		r := j.cur().Res
 		e.emitEvent(e.now, a.name, "resume")
 		waited := e.now - j.since
 		r.waitInt += waited
@@ -187,26 +214,68 @@ func (e *Engine) chainStep(j *job) *Proc {
 		return nil
 	}
 	// A hold boundary: step idx just finished.
-	last := j.idx == j.n-1
-	if last && j.owner != nil {
+	if j.owner != nil && j.idx == j.n-1 {
 		return j.owner // startChain ends the final charge
 	}
 	e.emitEvent(e.now, a.name, "resume")
 	e.endStep(j)
-	if last {
-		e.finishJob(j)
-		return nil
+	if e.advance(j) {
+		e.beginStep(j, false)
 	}
-	j.idx++
-	e.beginStep(j)
 	return nil
 }
 
-// beginStep starts step idx: dilate its charge, acquire its resource —
-// queueing exactly as Acquire would, recording the park reason so
-// deadlock reports and traces read identically — then hold.
-func (e *Engine) beginStep(j *job) {
-	s := &j.steps[j.idx]
+// cur returns the step in progress.
+func (j *job) cur() *Step {
+	if j.cursor != nil {
+		return &j.steps[0]
+	}
+	return &j.steps[j.idx]
+}
+
+// load makes step idx current, reporting false when there is none,
+// and finishes the job then.
+func (e *Engine) load(j *job) bool {
+	if j.cursor != nil {
+		s, ok := j.cursor(j.idx)
+		j.steps[0] = s
+		if ok {
+			return true
+		}
+	} else if j.idx < j.n {
+		return true
+	}
+	e.finishJob(j)
+	return false
+}
+
+// advance ends step idx in scheduler context — its After hook — and
+// makes the next step current; it reports false once the job has
+// finished.
+func (e *Engine) advance(j *job) bool {
+	if after := j.cur().After; after != nil {
+		after()
+	}
+	j.idx++
+	return e.load(j)
+}
+
+// beginStep starts step idx: pass its gates, dilate its charge, acquire
+// its resource — queueing exactly as Acquire would, recording the park
+// reason so deadlock reports and traces read identically — then hold.
+// A gate-only step ends once its gate passes, and the next one begins.
+// woken is set when a gate's wake-up resumed the job.
+func (e *Engine) beginStep(j *job, woken bool) {
+	s := j.cur()
+	for s.Res == nil && s.Name == "" && (s.Recv != nil || s.Await != nil) {
+		if !e.passGates(j, s, woken) || !e.advance(j) {
+			return
+		}
+		s, woken = j.cur(), false
+	}
+	if !e.passGates(j, s, woken) {
+		return
+	}
 	if s.Dilate != nil {
 		s.Dt = s.Dilate(e.now, s.Dt)
 	}
@@ -216,11 +285,7 @@ func (e *Engine) beginStep(j *job) {
 			r.enqueue(waiter{j: j})
 			j.since = e.now
 			j.acquiring = true
-			a := j.who
-			a.parkKind, a.parkWhy, a.parkDur = parkOn, &r.why, 0
-			if e.tracing() {
-				e.emitEvent(e.now, a.name, r.why.act())
-			}
+			e.parkJob(j, &r.why)
 			return
 		}
 		r.accumulate()
@@ -229,11 +294,51 @@ func (e *Engine) beginStep(j *job) {
 	e.holdStep(j)
 }
 
+// passGates takes the step's Recv message and waits on its Await
+// signal, clearing each gate as it passes; it parks the job and
+// reports false at the first that is closed. A Recv gate re-checks its
+// mailbox on every wake, as Mailbox.Get loops; an Await gate passes on
+// the wake Fire scheduled, as Signal.Wait returns.
+func (e *Engine) passGates(j *job, s *Step, woken bool) bool {
+	if m := s.Recv; m != nil {
+		if m.Len() == 0 {
+			m.wait(waiter{j: j})
+			j.gated = true
+			e.parkJob(j, &m.why)
+			return false
+		}
+		m.popMsg()
+		s.Recv, woken = nil, false
+	}
+	if sig := s.Await; sig != nil {
+		if !woken && !sig.fired {
+			sig.waiters = append(sig.waiters, waiter{j: j})
+			j.gated = true
+			e.parkJob(j, &sig.why)
+			return false
+		}
+		s.Await = nil
+		e.release(sig)
+	}
+	return true
+}
+
+// parkJob records that the job is parked on a primitive (queued on a
+// resource, or at a gate) and emits the block event the process form's
+// park would have.
+func (e *Engine) parkJob(j *job, why *parkReason) {
+	a := j.who
+	a.parkKind, a.parkWhy, a.parkDur = parkOn, why, 0
+	if e.tracing() {
+		e.emitEvent(e.now, a.name, why.act())
+	}
+}
+
 // holdStep starts the hold of step idx: schedule the boundary, record
 // the park reason, and emit the block event the process's Wait would
 // have emitted.
 func (e *Engine) holdStep(j *job) {
-	dt := j.steps[j.idx].Dt
+	dt := j.cur().Dt
 	if dt < 0 {
 		dt = 0
 	}
@@ -252,7 +357,7 @@ func (e *Engine) holdStep(j *job) {
 // endStep ends step idx at the current time: its typed span, then the
 // release of its resource.
 func (e *Engine) endStep(j *job) {
-	s := &j.steps[j.idx]
+	s := j.cur()
 	if e.observing() {
 		dev, name := s.Dev, s.Name
 		if s.Res != nil {

@@ -2,11 +2,16 @@
 // engine. Simulated entities (a node's processor, its FPGA, a DMA
 // engine, a network link) are processes — coroutines that run one at a
 // time under a scheduler and advance a shared virtual clock by waiting.
-// A fixed-latency unit that runs a straight-line list of charges once
-// started, such as an FPGA datapath job, is a job instead (Engine.
-// Launch): the engine advances its steps in scheduler context, with no
-// process or coroutine, and fires its done signal at the end, emitting
-// exactly the events and spans a process running the same steps would.
+// A unit that runs a list of charges once started, such as an FPGA
+// datapath job, is a job instead (Engine.Launch): the engine advances
+// its steps in scheduler context, with no process or coroutine, and
+// fires its done signal at the end, emitting exactly the events and
+// spans a process running the same steps would. A job's steps may come
+// from a cursor (Engine.LaunchCursor), wait on a mailbox message or a
+// signal before they start (Step.Recv, Step.Await) and act when they
+// end (Step.After), so both halves of a stripe pipeline — the
+// processor streaming stripes into a queue, the array consuming them —
+// run as jobs.
 //
 // The engine is the substrate on which the reconfigurable computing
 // system is modeled: it charges virtual time for computation, DRAM

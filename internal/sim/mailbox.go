@@ -2,8 +2,9 @@ package sim
 
 // Mailbox is an unbounded FIFO message queue between processes in
 // virtual time: Put never blocks, Get blocks the receiver until a
-// message is available. It is the primitive under the MPI layer and the
-// FPGA status registers.
+// message is available. A job step's Recv gate receives the same way.
+// It is the primitive under the MPI layer, the FPGA status registers
+// and the stripe queues.
 //
 // Both the message queue and the waiter queue are head-indexed rings
 // over a reusable backing array: popping advances the head (clearing
@@ -15,7 +16,7 @@ type Mailbox struct {
 	name    string
 	queue   []any
 	qhead   int
-	waiters []*Proc
+	waiters []waiter // receiving processes and gated job steps
 	whead   int
 	why     parkReason
 }
@@ -62,14 +63,14 @@ func (m *Mailbox) Put(v any) {
 	m.queue = append(m.queue, v)
 	if m.whead < len(m.waiters) {
 		next := m.waiters[m.whead]
-		m.waiters[m.whead] = nil
+		m.waiters[m.whead] = waiter{}
 		m.whead++
 		if m.whead == len(m.waiters) {
 			m.waiters = m.waiters[:0]
 			m.whead = 0
 		}
 		e := m.eng
-		e.scheduleProc(e.now, next)
+		e.schedule(event{t: e.now, p: next.p, j: next.j})
 	}
 }
 
@@ -77,24 +78,29 @@ func (m *Mailbox) Put(v any) {
 // arrives.
 func (m *Mailbox) Get(p *Proc) any {
 	for m.Len() == 0 {
-		if m.whead > 0 && len(m.waiters) == cap(m.waiters) {
-			// Same compaction as Put's message ring, for the receiver
-			// queue: many parked receivers that are never all woken at
-			// once would otherwise grow the array without bound.
-			n := copy(m.waiters, m.waiters[m.whead:])
-			for i := n; i < len(m.waiters); i++ {
-				m.waiters[i] = nil
-			}
-			m.waiters = m.waiters[:n]
-			m.whead = 0
-			if m.eng.ctr != nil {
-				m.eng.ctr.Compactions.Add(1)
-			}
-		}
-		m.waiters = append(m.waiters, p)
+		m.wait(waiter{p: p})
 		p.park(parkOn, &m.why, 0)
 	}
 	return m.popMsg()
+}
+
+// wait queues a receiver for the next Put.
+func (m *Mailbox) wait(w waiter) {
+	if m.whead > 0 && len(m.waiters) == cap(m.waiters) {
+		// Same compaction as Put's message ring, for the receiver
+		// queue: many parked receivers that are never all woken at
+		// once would otherwise grow the array without bound.
+		n := copy(m.waiters, m.waiters[m.whead:])
+		for i := n; i < len(m.waiters); i++ {
+			m.waiters[i] = waiter{}
+		}
+		m.waiters = m.waiters[:n]
+		m.whead = 0
+		if m.eng.ctr != nil {
+			m.eng.ctr.Compactions.Add(1)
+		}
+	}
+	m.waiters = append(m.waiters, w)
 }
 
 // TryGet removes and returns the oldest message without blocking; ok is
@@ -106,13 +112,14 @@ func (m *Mailbox) TryGet() (v any, ok bool) {
 	return m.popMsg(), true
 }
 
-// Signal is a broadcast condition: processes Wait on it, and Fire
-// releases all current waiters simultaneously (at the current virtual
-// time). It models the FPGA "done" status register the processor polls.
+// Signal is a broadcast condition: processes Wait on it (and job steps
+// with an Await gate), and Fire releases all current waiters
+// simultaneously (at the current virtual time). It models the FPGA
+// "done" status register the processor polls.
 type Signal struct {
 	eng     *Engine
 	fired   bool
-	waiters []*Proc
+	waiters []waiter // waiting processes and gated job steps
 	why     parkReason
 	job     *job // the job this is the done signal of; nil from NewSignal
 }
@@ -130,9 +137,9 @@ func (s *Signal) Fired() bool { return s.fired }
 func (s *Signal) Fire() {
 	s.fired = true
 	e := s.eng
-	for i, p := range s.waiters {
-		s.waiters[i] = nil
-		e.scheduleProc(e.now, p)
+	for i, w := range s.waiters {
+		s.waiters[i] = waiter{}
+		e.schedule(event{t: e.now, p: w.p, j: w.j})
 	}
 	s.waiters = s.waiters[:0]
 }
@@ -146,7 +153,7 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	s.waiters = append(s.waiters, waiter{p: p})
 	p.park(parkOn, &s.why, 0)
 }
 

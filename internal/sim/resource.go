@@ -27,9 +27,10 @@ type Resource struct {
 	waits      int64   // number of acquires that had to queue
 }
 
-// waiter is a queued process, or a queued job step (j), and when it
-// joined the queue so the contention wait can be measured and reported
-// as a Sync span.
+// waiter is a queued process, or a queued job step (j), on a Resource,
+// a Mailbox or a Signal. On a Resource, since is when it joined the
+// queue, so the contention wait can be measured and reported as a Sync
+// span.
 type waiter struct {
 	p     *Proc
 	j     *job

@@ -6,8 +6,9 @@ import "fmt"
 // objectives: throughput up, FPGA area down, DRAM bandwidth demand
 // down. Domination requires a to be no worse on every objective and
 // strictly better on at least one, so duplicate points never eliminate
-// each other.
-func dominates(a, b Outcome) bool {
+// each other. It takes pointers: markPareto's quadratic scan would
+// otherwise copy two whole Outcomes per comparison.
+func dominates(a, b *Outcome) bool {
 	if a.GFLOPS < b.GFLOPS || a.Slices > b.Slices || a.BdGBps > b.BdGBps {
 		return false
 	}
@@ -29,7 +30,7 @@ func markPareto(outcomes []Outcome) []int {
 			if i == j || !outcomes[j].OK {
 				continue
 			}
-			if dominates(outcomes[j], outcomes[i]) {
+			if dominates(&outcomes[j], &outcomes[i]) {
 				dominated = true
 				break
 			}

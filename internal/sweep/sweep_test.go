@@ -143,7 +143,7 @@ func TestParetoFrontier(t *testing.T) {
 			t.Errorf("frontier point %d not marked Pareto", i)
 		}
 		for j := range res.Outcomes {
-			if j != i && res.Outcomes[j].OK && dominates(res.Outcomes[j], res.Outcomes[i]) {
+			if j != i && res.Outcomes[j].OK && dominates(&res.Outcomes[j], &res.Outcomes[i]) {
 				t.Errorf("frontier point %d is dominated by %d", i, j)
 			}
 		}
